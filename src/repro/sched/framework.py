@@ -13,10 +13,18 @@ ordered list, and the programming functions of a
   ranked eligible), then runs the Post-Dequeue function;
 * the **asynchronous path**: alarm functions can ``dequeue(f)`` a
   specific flow, mutate its attributes, and re-enqueue it (Section 4.4).
+
+Each scheduler also keeps the smallest virtual start time over its
+backlogged flows, the value the PIEO hardware reads from its
+``smallest_send_time`` registers and WF2Q+'s virtual clock needs per
+packet: a lazily invalidated min-heap of ``(start_time, seq, flow)``
+entries (see :meth:`PieoScheduler.min_start_time`).
 """
 
 from __future__ import annotations
 
+import itertools
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.core.backends import DEFAULT_BACKEND, make_list
@@ -83,6 +91,17 @@ class SchedulerContext:
         """Flows with at least one queued packet (the set F of Fig. 2a)."""
         return [flow for flow in self._scheduler.flows.values()
                 if not flow.is_empty]
+
+    # -- virtual start times -------------------------------------------------
+    def note_start_time(self, flow: FlowQueue) -> None:
+        """Record that ``flow.state["start_time"]`` was just written, so
+        :meth:`min_start_time` sees the new value."""
+        self._scheduler.note_start_time(flow)
+
+    def min_start_time(self) -> Optional[float]:
+        """min over backlogged flows of ``state["start_time"]`` (0.0 when
+        unset), or None when no flow is backlogged."""
+        return self._scheduler.min_start_time()
 
     # -- ordered-list operations -------------------------------------------
     def enqueue(self, flow: FlowQueue, rank: Rank,
@@ -202,6 +221,10 @@ class PieoScheduler:
         self._schedule_ctx: Optional[SchedulerContext] = None
         #: Scheduling decisions taken (dequeue() calls that returned a flow).
         self.decisions = 0
+        #: Start-time heap behind :meth:`min_start_time`; built on first
+        #: use, so algorithms that never ask for it never maintain it.
+        self._start_heap: Optional[List[tuple]] = None
+        self._start_seq = itertools.count()
 
     # ------------------------------------------------------------------
     # Flow management
@@ -210,6 +233,8 @@ class PieoScheduler:
         if flow.flow_id in self.flows:
             raise ConfigurationError(f"flow {flow.flow_id!r} already added")
         self.flows[flow.flow_id] = flow
+        if flow.queue and self._start_heap is not None:
+            self.note_start_time(flow)
         return flow
 
     def get_flow(self, flow_id: Hashable) -> FlowQueue:
@@ -232,21 +257,30 @@ class PieoScheduler:
                 ctx, flow, packet)
             packet.rank = rank
             packet.send_time = send_time
-            was_empty = flow.push(packet)
-            if was_empty and not self.blocked.get(flow_id):
-                self._list_enqueue(flow, packet.rank, packet.send_time,
-                                   now=now)
-                return True
-            return False
+            if not flow.push(packet):
+                return False
+            # No Pre-Enqueue runs under this trigger, so the flow enters
+            # the start-time heap at whatever start time it holds.
+            if self._start_heap is not None:
+                self.note_start_time(flow)
+            if self.blocked.get(flow_id):
+                return False
+            self._list_enqueue(flow, packet.rank, packet.send_time, now=now)
+            return True
         # Output-triggered: Pre-Enqueue fires on enqueue into an *empty*
         # flow queue (and on dequeue from a flow queue, handled in
         # _reenqueue).  The context is built only when the function will
         # run — most arrivals land on already-backlogged flows.
-        was_empty = flow.push(packet)
-        if was_empty and not self.blocked.get(flow_id):
+        if not flow.push(packet):
+            return False
+        if not self.blocked.get(flow_id):
             ctx = SchedulerContext(self, now, reason="arrival")
             self.algorithm.pre_enqueue(ctx, flow)
             return True
+        # A paused flow became backlogged without Pre-Enqueue; it still
+        # counts towards min_start_time at its old start time.
+        if self._start_heap is not None:
+            self.note_start_time(flow)
         return False
 
     # ------------------------------------------------------------------
@@ -382,6 +416,59 @@ class PieoScheduler:
         ctx = SchedulerContext(self, now, reason="arrival")
         self.algorithm.pre_enqueue(ctx, flow)
         return True
+
+    # ------------------------------------------------------------------
+    # Virtual start times
+    # ------------------------------------------------------------------
+    #: Slack above ``2 * len(flows)`` entries before the start-time heap
+    #: is rebuilt from the backlogged flows.
+    START_HEAP_SLACK = 16
+
+    def note_start_time(self, flow: FlowQueue) -> None:
+        """Push ``flow``'s current start time onto the start-time heap.
+
+        Called whenever ``state["start_time"]`` is written and whenever a
+        flow becomes backlogged without Pre-Enqueue running.  Older
+        entries of the flow go stale and are dropped lazily; when stale
+        entries pile up past ``2 * len(flows) + START_HEAP_SLACK`` the
+        heap is rebuilt, which is O(N) once per O(N) pushes.
+        """
+        heap = self._start_heap
+        if heap is None or len(heap) >= (2 * len(self.flows)
+                                         + self.START_HEAP_SLACK):
+            self._rebuild_start_heap()
+            return
+        heappush(heap, (flow.state.get("start_time", 0.0),
+                        next(self._start_seq), flow))
+
+    def min_start_time(self) -> Optional[float]:
+        """min over backlogged flows of ``state["start_time"]`` (0.0 when
+        unset), or None when no flow is backlogged.
+
+        Amortized O(log N): entries whose flow is empty or whose start
+        time has since changed are popped off the top until a current
+        one surfaces.
+        """
+        heap = self._start_heap
+        if heap is None:
+            heap = self._rebuild_start_heap()
+        while heap:
+            start, _, flow = heap[0]
+            # ``queue`` truthiness == backlogged, for FlowQueue and
+            # hierarchical SchedNode children alike.
+            if flow.queue and flow.state.get("start_time", 0.0) == start:
+                return start
+            heappop(heap)
+        return None
+
+    def _rebuild_start_heap(self) -> List[tuple]:
+        """One entry per backlogged flow, at its current start time."""
+        seq = self._start_seq
+        heap = [(flow.state.get("start_time", 0.0), next(seq), flow)
+                for flow in self.flows.values() if flow.queue]
+        heapify(heap)
+        self._start_heap = heap
+        return heap
 
     # ------------------------------------------------------------------
     # Internals

@@ -117,7 +117,7 @@ _WFQ_SCFQ_WAIVER = (
     "1*L_max/R WFQ bound (see DESIGN.md section 11; regression test "
     "tests/conformance/test_waivers.py pins the observed bound)")
 
-# WF2Q+ approximates the GPS virtual time with an O(1) packet clock
+# WF2Q+ approximates the GPS virtual time with a packet clock
 # (wall-clock advance plus a min-start floor, Fig. 2a).  When the fluid
 # system sheds an emptied flow its virtual time speeds up to R/W while
 # the packet clock keeps wall rate until the floor catches up, so
@@ -125,7 +125,7 @@ _WFQ_SCFQ_WAIVER = (
 # one extra L_max/R late.  Verified against a brute-force fluid
 # integration; see DESIGN.md section 11.
 _WF2Q_CLOCK_WAIVER = (
-    "O(1) approximate virtual clock (WF2Q+): eligibility lags the "
+    "approximate virtual clock (WF2Q+): eligibility lags the "
     "exact GPS clock of WF2Q when the fluid system sheds emptied "
     "flows, exceeding the 1*L_max/R bound by up to about one more "
     "L_max/R (see DESIGN.md section 11; regression test "

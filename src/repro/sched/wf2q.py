@@ -20,6 +20,15 @@ Virtual time (Fig. 2a)::
 
 where ``L`` is the head packet's length, ``r`` the flow's rate, and ``x``
 the transmission time of the departing packet.
+
+``min over backlogged f of f.start_time`` comes from the scheduler's
+start-time heap (:meth:`repro.sched.framework.PieoScheduler.min_start_time`),
+the software counterpart of the PIEO hardware's ``smallest_send_time``
+registers.  Pre-Enqueue pushes an entry each time it writes a start time;
+Post-Dequeue pops entries that went stale (flow emptied, or start time
+rewritten) off the top and reads the minimum.  The per-packet cost is
+O(log N) amortized in the number of flows N.  The heap lives with the
+scheduler, so one algorithm instance can drive several schedulers.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ class WorstCaseFairWeightedFairQueuing(SchedulingAlgorithm):
                           / (ctx.link_rate_bps * flow.weight))
         flow.state["start_time"] = start
         flow.state["finish_time"] = finish
+        ctx.note_start_time(flow)
         ctx.enqueue(flow, rank=finish, send_time=start)
 
     def post_dequeue(self, ctx: SchedulerContext, flow: FlowQueue) -> None:
@@ -58,17 +68,9 @@ class WorstCaseFairWeightedFairQueuing(SchedulingAlgorithm):
             ctx.reenqueue(flow)
         # Fig. 2a virtual-time update, with the served flow's start time
         # already advanced (Bennett & Zhang's B(t) is evaluated after the
-        # departure).  Single pass over the flows: vt = max(vt + x,
-        # min start time over backlogged flows), no intermediate lists.
+        # departure).
         virtual_time = ctx.virtual_time + transmission
-        min_start = None
-        for other in ctx.flows.values():
-            # ``queue`` truthiness == backlogged; a plain attribute on
-            # FlowQueue, so this pass skips the is_empty property call.
-            if other.queue:
-                start = other.state.get("start_time", 0.0)
-                if min_start is None or start < min_start:
-                    min_start = start
+        min_start = ctx.min_start_time()
         if min_start is not None and min_start > virtual_time:
             virtual_time = min_start
         ctx.virtual_time = virtual_time

@@ -50,7 +50,7 @@ def test_wfq_scfq_excess_within_golestani_bound(backlogged_scenario):
 
 @pytest.mark.parametrize("name", ["wf2q+", "wcwfq"])
 def test_wf2q_clock_waiver_still_needed(name, backlogged_scenario):
-    """The O(1) approximate virtual clock must still lag exact GPS on
+    """WF2Q+'s approximate virtual clock must still lag exact GPS on
     the pinned scenario — if this starts passing, drop the waiver."""
     report = check_algorithm(name, scenario=backlogged_scenario)
     outcome = _gps_outcome(report)
