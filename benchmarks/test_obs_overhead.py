@@ -93,8 +93,11 @@ def _overhead_table() -> Table:
     table.add_note("traced-null is the default configuration (no "
                    "--trace/--metrics): the wrapper shadows its methods "
                    "with the inner engine's, so the delta is noise. "
-                   "traced-live pays for a ring-buffer event per op plus "
-                   "two perf_counter() calls and a histogram insert.")
+                   "traced-live pays, per op, for two perf_counter() "
+                   "calls, a histogram insert, a depth-gauge set and one "
+                   "TraceEvent kept in the ring buffer (the typed "
+                   "emitter plus emit; with no sink nothing is "
+                   "encoded).")
     return table
 
 

@@ -78,11 +78,21 @@ class Gauge:
         if self.max is None or value > self.max:
             self.max = value
 
+    # inc/dec repeat set's watermark update rather than call it: they run
+    # on every enqueue and dequeue of a metered run.
     def inc(self, amount: float = 1) -> None:
-        self.set(self.value + amount)
+        value = self.value = self.value + amount
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def dec(self, amount: float = 1) -> None:
-        self.set(self.value - amount)
+        value = self.value = self.value - amount
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def reset(self) -> None:
         self.value = 0.0

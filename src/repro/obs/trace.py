@@ -24,6 +24,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import (Dict, Hashable, IO, Iterable, Iterator, List,
                     Optional, Sequence, Union)
 
@@ -47,12 +48,58 @@ EVENT_KINDS = (
 )
 
 
+#: Field names every event record already carries.
+_RESERVED_FIELDS = ("t", "kind")
+
+
 def _json_safe(value):
     """JSON cannot express non-finite floats; encode them as strings so
     every exported line parses under strict decoders."""
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)  # 'inf' / '-inf' / 'nan'
     return value
+
+
+def _unserializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+def _make_encoder(allow_nan: bool):
+    """The stdlib C encoder that ``json.dumps(record, separators=(",",
+    ":"))`` builds afresh on every call, built once.  Call it as
+    ``encoder(record, 0)``; it returns the chunks of the line.  It skips
+    the circular-reference check: event fields are scalars and flat
+    sequences."""
+    return c_make_encoder(None, _unserializable, encode_basestring_ascii,
+                          None, ":", ",", False, False, allow_nan)
+
+
+#: Encodes a record holding only finite floats; raises ValueError on any
+#: non-finite one, which sends the record down :func:`_non_finite_json`.
+_STRICT = _make_encoder(allow_nan=False)
+#: Encodes the :func:`_json_safe` form of a record; non-finite floats
+#: nested in sequences come out as ``Infinity``/``NaN``, as they always
+#: have.
+_LENIENT = _make_encoder(allow_nan=True)
+
+
+def _non_finite_json(record: Dict[str, object]) -> str:
+    """The rare encoding path: a record holding a non-finite float."""
+    safe = {}
+    for key, value in record.items():
+        safe[key] = _json_safe(value)
+    return "".join(_LENIENT(safe, 0))
+
+
+def _record_json(record: Dict[str, object]) -> str:
+    """One event record as a compact JSON line (without the newline):
+    byte for byte what ``json.dumps`` of its :func:`_json_safe` form
+    with ``separators=(",", ":")`` gives."""
+    try:
+        return "".join(_STRICT(record, 0))
+    except ValueError:
+        return _non_finite_json(record)
 
 
 @dataclass
@@ -71,7 +118,8 @@ class TraceEvent:
         return record
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _record_json({"t": self.time, "kind": self.kind,
+                             **self.fields})
 
     def get(self, key: str, default=None):
         return self.fields.get(key, default)
@@ -168,7 +216,11 @@ class Tracer(_TypedEmitters):
             if capacity < 0:
                 raise ValueError("capacity must be >= 0 or None")
             self._events = deque(maxlen=capacity)
-        self._ring = capacity is not None
+        #: The ring's size (``None``: unbounded); an event emitted while
+        #: ``len(events)`` equals it counts as dropped.
+        self._capacity = capacity
+        #: Whether events are materialized as :class:`TraceEvent` at all.
+        self._retain = capacity is None or capacity > 0
         self._sink = sink
         self._owns_sink = False
         #: Total events emitted (including ring evictions).
@@ -206,24 +258,40 @@ class Tracer(_TypedEmitters):
     # ------------------------------------------------------------------
     def emit(self, time: float, kind: str, **fields) -> None:
         """Record one event; ``kind`` must come from
-        :data:`EVENT_KINDS`."""
+        :data:`EVENT_KINDS` and no field may be named ``t``.
+
+        One frame per event: the kind is validated the first time it is
+        counted, a :class:`TraceEvent` is built only when events are
+        retained, and the JSONL line is one call into the prebuilt C
+        encoder (see :func:`_record_json`, inlined here).
+        """
         if not self.enabled:
             return
-        if kind not in EVENT_KINDS:
-            raise ValueError(
-                f"unknown trace event kind {kind!r}; "
-                f"expected one of {', '.join(EVENT_KINDS)}")
-        event = TraceEvent(time, kind, fields)
-        if self._ring and self._events.maxlen is not None \
-                and len(self._events) == self._events.maxlen:
+        counts = self.counts
+        count = counts.get(kind)
+        if count is None:
+            if kind not in EVENT_KINDS:
+                raise ValueError(
+                    f"unknown trace event kind {kind!r}; "
+                    f"expected one of {', '.join(EVENT_KINDS)}")
+            count = 0
+        if "t" in fields:
+            raise ValueError("trace field name 't' is reserved for the "
+                             "event's sim time")
+        events = self._events
+        if len(events) == self._capacity:
             self.dropped += 1
-        if not (self._ring and self._events.maxlen == 0):
-            self._events.append(event)
+        if self._retain:
+            events.append(TraceEvent(time, kind, fields))
         self.emitted += 1
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+        counts[kind] = count + 1
         if self._sink is not None:
-            self._sink.write(event.to_json())
-            self._sink.write("\n")
+            record = {"t": time, "kind": kind, **fields}
+            try:
+                line = "".join(_STRICT(record, 0))
+            except ValueError:
+                line = _non_finite_json(record)
+            self._sink.write(line + "\n")
 
     # ------------------------------------------------------------------
     # Access and export
@@ -258,8 +326,9 @@ class Tracer(_TypedEmitters):
         Each line is parsed and re-emitted through :meth:`emit`, so
         retention, per-kind counts, and the sink observe absorbed events
         exactly as if they had been emitted locally.  Serialization
-        round-trips byte-exactly: :func:`json` float formatting is
-        shortest-repr stable and the non-finite string encodings of
+        round-trips byte-exactly: the worker and this tracer encode with
+        the same prebuilt encoders, float formatting is shortest-repr
+        stable, and the non-finite string encodings of
         :func:`_json_safe` are revived with the :func:`read_jsonl`
         rules before re-encoding.
         """
@@ -295,16 +364,30 @@ class LabelledTracer(_TypedEmitters):
     the ``tracer is NULL_TRACER`` fast-path identity checks meaningful.
     """
 
-    __slots__ = ("base", "labels")
+    __slots__ = ("base", "labels", "_root", "_stamp")
 
     def __init__(self, base, **labels) -> None:
+        _check_labels(labels)
         self.base = base
         self.labels = labels
+        # A nested view emits straight into the innermost base with the
+        # labels of every level merged once, here: this view's labels
+        # first and winning, then the missing ones of the views below.
+        if isinstance(base, LabelledTracer):
+            stamp = {**labels, **base._stamp}
+            stamp.update(labels)
+            self._root = base._root
+        else:
+            stamp = dict(labels)
+            self._root = base
+        self._stamp = stamp
 
     def emit(self, time: float, kind: str, **fields) -> None:
-        for key, value in self.labels.items():
-            fields.setdefault(key, value)
-        self.base.emit(time, kind, **fields)
+        # Explicit fields keep their place and value; the labels they
+        # lack follow in label order.
+        stamped = {**fields, **self._stamp}
+        stamped.update(fields)
+        self._root.emit(time, kind, **stamped)
 
     @property
     def enabled(self) -> bool:
@@ -322,11 +405,20 @@ def labelled(tracer, **labels):
     Returns ``tracer`` unchanged when it is ``None``, the shared null
     tracer, or no labels were given — so call sites can label
     unconditionally without defeating the identity-checked
-    ``is NULL_TRACER`` fast paths downstream.
+    ``is NULL_TRACER`` fast paths downstream.  Reserved label names
+    (:data:`_RESERVED_FIELDS`) raise :class:`ValueError` either way.
     """
+    _check_labels(labels)
     if tracer is None or tracer is NULL_TRACER or not labels:
         return tracer
     return LabelledTracer(tracer, **labels)
+
+
+def _check_labels(labels: Dict[str, object]) -> None:
+    reserved = [name for name in _RESERVED_FIELDS if name in labels]
+    if reserved:
+        raise ValueError(f"label name(s) {', '.join(reserved)} are "
+                         "reserved for the event's time and kind")
 
 
 #: Fields whose non-finite floats are string-encoded by

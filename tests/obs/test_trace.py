@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from repro.obs import EVENT_KINDS, TraceEvent, Tracer, read_jsonl
+from repro.obs import (EVENT_KINDS, NULL_TRACER, LabelledTracer, TraceEvent,
+                       Tracer, labelled, read_jsonl)
 
 
 def test_typed_emitters_produce_typed_events():
@@ -36,6 +37,27 @@ def test_typed_emitters_produce_typed_events():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown trace event kind"):
         Tracer().emit(0.0, "explosion")
+
+
+def test_field_named_t_rejected():
+    tracer = Tracer()
+    with pytest.raises(ValueError, match="'t' is reserved"):
+        tracer.mark(0.0, "x", t=5)
+    with pytest.raises(ValueError, match="'t' is reserved"):
+        tracer.emit(0.0, "kick", t=5)
+    assert tracer.emitted == 0 and not tracer.counts
+
+
+@pytest.mark.parametrize("name", ["t", "kind"])
+def test_reserved_label_rejected_when_view_is_built(name):
+    tracer = Tracer()
+    with pytest.raises(ValueError, match="reserved"):
+        LabelledTracer(tracer, **{name: "x"})
+    with pytest.raises(ValueError, match="reserved"):
+        labelled(tracer, port="p0", **{name: "x"})
+    # Rejected on the untraced path too, not only once a tracer exists.
+    with pytest.raises(ValueError, match="reserved"):
+        labelled(NULL_TRACER, **{name: "x"})
 
 
 def test_span_measures_wall_clock():
