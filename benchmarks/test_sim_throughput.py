@@ -1,32 +1,20 @@
 """End-to-end simulation throughput on the fig12 workload.
 
 Measures packets/sec through the full stack (sources -> hierarchical
-TokenBucket/WF2Q+ scheduler -> transmit engine -> 40 Gbps link) for the
-event-queue x drain-path matrix, and records the result in
-``bench_results/sim_throughput.txt``.
+TokenBucket/WF2Q+ scheduler -> transmit engine -> 40 Gbps link) with
+the transmit engine's batched drain off and on, and records the result
+in ``bench_results/sim_throughput.txt``.
 
-Methodology: this box's wall clock is noisy (±30% run to run), so raw
+Methodology: the wall clock is noisy (±30% run to run), so raw
 packets/sec from different invocations are not comparable.  Every round
-therefore runs ALL configurations back to back and only the
+therefore runs both configurations back to back and only the
 *within-round ratio* against the baseline is trusted; the table reports
 the median ratio across rounds next to the median raw rate.  The
-baseline configuration (``reference`` heap event queue, batched drain
-off) reproduces the seed revision's simulation loop in-tree, so
-``ratio_vs_baseline`` is the speedup over the seed.
-
-Honest numbers: against the actual seed revision (measured separately
-via a git-worktree checkout with the same interleaved protocol) the
-default fast path is ~1.7-2.4x (median ~2x) — short of the 3x this
-change originally targeted.  Most of that win comes from scheduler-path
-work (grouped reference list, context reuse, inlined hot paths) that is
-baked into *every* in-tree configuration, so the within-tree deltas
-below are small: the batched drain adds a stable ~1.1x, while the
-pure-Python calendar queue roughly breaks even against C ``heapq`` at
-this workload's event density (its value is the bounded-compaction
-behaviour under cancel churn, not raw speed).  Profiles
-(``sim_profile.txt``) show the remaining time is scheduler logic spread
-thinly across ~30 frames at 1-9% each, so further gains need
-algorithmic scheduler work, not loop tuning.
+baseline (``reference``: batched drain off) dispatches every transmit
+timer through the event queue; ``reference+drain`` lets one engine
+callback fast-forward the clock through a chain of them
+(:meth:`repro.sim.events.Simulator.advance_to`), the default for
+unobserved single-port runs.
 """
 
 import cProfile
@@ -44,33 +32,31 @@ from repro.sim.packet import reset_packet_ids
 DURATION = 0.003
 ROUNDS = 3
 
-#: (label, event_queue, drain) — first entry is the baseline.
+#: (label, drain) — first entry is the baseline.
 CONFIGS = (
-    ("baseline", "reference", False),
-    ("drain", "reference", True),
-    ("calendar", "calendar", False),
-    ("calendar+drain", "calendar", True),
+    ("reference", False),
+    ("reference+drain", True),
 )
 
 
-def _one_run(event_queue: str, drain: bool):
+def _one_run(drain: bool):
     """One fig12-workload simulation; returns (packets, elapsed_sec)."""
     reset_packet_ids(0)
     start = time.perf_counter()
     run = run_hierarchy(default_node_rates(), duration=DURATION,
-                        event_queue=event_queue, drain=drain)
+                        drain=drain)
     elapsed = time.perf_counter() - start
     return len(run.engine.recorder), elapsed
 
 
 def _throughput_table() -> Table:
-    rates = {label: [] for label, _, _ in CONFIGS}
-    ratios = {label: [] for label, _, _ in CONFIGS}
+    rates = {label: [] for label, _ in CONFIGS}
+    ratios = {label: [] for label, _ in CONFIGS}
     packets = None
     for _ in range(ROUNDS):
         round_rates = {}
-        for label, event_queue, drain in CONFIGS:
-            count, elapsed = _one_run(event_queue, drain)
+        for label, drain in CONFIGS:
+            count, elapsed = _one_run(drain)
             if packets is None:
                 packets = count
             assert count == packets, (
@@ -85,32 +71,28 @@ def _throughput_table() -> Table:
         title=(f"Simulation throughput, fig12 workload ({packets} "
                f"packets, {DURATION*1e3:g} ms simulated, "
                f"{ROUNDS} interleaved rounds)"),
-        headers=["config", "event_queue", "drain", "pps_median",
-                 "ratio_vs_baseline"],
+        headers=["config", "drain", "pps_median", "ratio_vs_baseline"],
     )
-    for label, event_queue, drain in CONFIGS:
-        table.add_row(label, event_queue, "on" if drain else "off",
+    for label, drain in CONFIGS:
+        table.add_row(label, "on" if drain else "off",
                       round(statistics.median(rates[label])),
                       round(statistics.median(ratios[label]), 2))
     table.add_note("ratio_vs_baseline is the median of within-round "
                    "ratios (each round runs every config back to back), "
                    "which cancels machine-load drift; raw pps_median is "
                    "machine-state dependent and not comparable across "
-                   "invocations. baseline = this tree with the seed's "
-                   "loop shape (reference heap, no batched drain); the "
-                   "~2x win over the actual seed revision comes from "
-                   "scheduler-path optimizations shared by every row "
-                   "(see module docstring).")
+                   "invocations. baseline = reference (every transmit "
+                   "timer through the event queue, batched drain off).")
     return table
 
 
 def _write_profile(path) -> None:
-    """cProfile the fast configuration; top frames by cumulative time."""
+    """cProfile the default configuration; top frames by cumulative
+    time."""
     profiler = cProfile.Profile()
     reset_packet_ids(0)
     profiler.enable()
-    run_hierarchy(default_node_rates(), duration=DURATION,
-                  event_queue="calendar", drain=True)
+    run_hierarchy(default_node_rates(), duration=DURATION)
     profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
@@ -123,17 +105,15 @@ def test_sim_throughput_table(benchmark, save_table):
     save_table("sim_throughput", table)
     ratio = dict(zip(table.column("config"),
                      table.column("ratio_vs_baseline")))
-    # Floors sit well under the observed medians (drain ~1.1x, the
-    # calendar configs ~0.8-1.4x round to round) so a noisy round cannot
-    # flake; dropping through one means a path genuinely regressed.
-    assert ratio["drain"] >= 0.95, table.to_text()
-    assert ratio["calendar"] >= 0.6, table.to_text()
-    assert ratio["calendar+drain"] >= 0.7, table.to_text()
+    # The floor sits well under the observed median (drain ~1.1-1.2x)
+    # so a noisy round cannot flake; dropping through it means the
+    # drain path genuinely regressed.
+    assert ratio["reference+drain"] >= 0.95, table.to_text()
 
 
 def test_sim_profile_artifact():
-    """Regenerate the committed cProfile snapshot of the fast config
-    (uploaded as a CI artifact by the perf-smoke job)."""
+    """Regenerate the committed cProfile snapshot of the default
+    configuration."""
     results_dir = pathlib.Path(__file__).parent / "bench_results"
     results_dir.mkdir(exist_ok=True)
     _write_profile(results_dir / "sim_profile.txt")

@@ -21,7 +21,7 @@ from repro.bench.results import (BenchFormatError, bench_path,
                                  gated_metrics, load_bench)
 
 #: Fail when a gated median drops more than this fraction below its
-#: baseline (matches the perf_smoke gate).
+#: baseline.
 DEFAULT_TOLERANCE = 0.30
 
 EXIT_OK = 0

@@ -87,7 +87,7 @@ class ConformanceRun:
     scenario: Optional[Scenario] = None
     link_rate_bps: Optional[float] = None
     #: The engine's Recorder (byte-identity comparisons across
-    #: backend/event-queue substitutions); absent for trace-only runs.
+    #: backend substitutions); absent for trace-only runs.
     recorder: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -180,20 +180,20 @@ def _merge(intervals: List[Tuple[float, float]],
 # ----------------------------------------------------------------------
 def check_conservation(run: ConformanceRun) -> List[Violation]:
     issues = list(run.analysis.issues)
-    issues += run.analysis._audit_conservation()
+    issues += run.analysis.audit_conservation()
     return [Violation("conservation", issue.message)
             for issue in issues if issue.severity == "error"]
 
 
 def check_per_flow_fifo(run: ConformanceRun) -> List[Violation]:
     return [Violation("per-flow-fifo", issue.message)
-            for issue in run.analysis._audit_flow_ordering()
+            for issue in run.analysis.audit_flow_ordering()
             if issue.severity == "error"]
 
 
 def check_link_overlap(run: ConformanceRun) -> List[Violation]:
     return [Violation("link-overlap", issue.message)
-            for issue in run.analysis._audit_link_overlap()
+            for issue in run.analysis.audit_link_overlap()
             if issue.severity == "error"]
 
 

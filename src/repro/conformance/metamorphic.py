@@ -4,10 +4,10 @@ A conformance verdict should be invariant under symmetries of the
 scheduling model: stretching time (and slowing every rate to match),
 scaling packet sizes (and every rate with them), renaming flows, and
 translating the whole arrival sequence.  Likewise substituting the
-ordered-list backend or the simulator's event queue must not change a
-single departed byte.  Each transform here rewrites a
-:class:`~repro.conformance.scenarios.Scenario` as pure data; the
-harness re-runs the checkers and compares verdicts checker-by-checker.
+ordered-list backend must not change a single departed byte.  Each
+transform here rewrites a :class:`~repro.conformance.scenarios.Scenario`
+as pure data; the harness re-runs the checkers and compares verdicts
+checker-by-checker.
 
 A verdict mismatch after a transform is itself a conformance failure:
 either the algorithm breaks a symmetry it promised (e.g. a hidden
@@ -115,14 +115,13 @@ def metamorphic_verdicts(
         transforms: Optional[Sequence[str]] = None,
         substitutions: Optional[Sequence[Dict[str, str]]] = None,
 ) -> MetamorphicResult:
-    """Run the base scenario, every transform, and every
-    backend/event-queue substitution; collect verdict mismatches.
+    """Run the base scenario, every transform, and every backend
+    substitution; collect verdict mismatches.
 
     ``substitutions`` are ``run_scenario`` keyword dicts (e.g.
-    ``{"backend": "fast"}``, ``{"event_queue": "calendar"}``); besides
-    preserved verdicts these demand *byte-identical* departures, since
-    backends and event queues promise exact semantics, not just
-    bound-level equivalence.
+    ``{"backend": "fast"}``); besides preserved verdicts these demand
+    *byte-identical* departures, since backends promise exact
+    semantics, not just bound-level equivalence.
     """
     base_run = run_scenario(scenario, algorithm_name)
     base_report = ConformanceReport(algorithm=algorithm_name,

@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments --list-backends
     python -m repro.experiments fig11 --trace t.jsonl --metrics m.json
     python -m repro.experiments fig11 --trace t.jsonl --analyze
-    python -m repro.experiments fig12 --event-queue calendar --jobs 4
+    python -m repro.experiments fig12 --jobs 4
     python -m repro.experiments incast --ports 4 --drop-policy red
     python -m repro.experiments incast --algorithm wfq --trace t.jsonl
     python -m repro.experiments --list-algorithms
@@ -33,12 +33,9 @@ then through ``python -m repro.conformance check --trace`` so every
 traced experiment run doubles as a conformance audit (non-zero exit on
 any violated invariant).
 
-``--event-queue NAME`` selects the simulator's pending-event backend
-(from the :mod:`repro.sim.events` registry; see
-``--list-event-queues``) and ``--jobs N`` shards sweep-style
-experiments' points over N worker processes.  Both are
-result-preserving: tables and traces stay byte-identical to the
-defaults (DESIGN.md section 9).
+``--jobs N`` shards sweep-style experiments' points over N worker
+processes.  It is result-preserving: tables and traces stay
+byte-identical to ``--jobs 1`` (DESIGN.md section 9).
 
 ``--heartbeat`` reports sweep liveness (points completed, per-point
 wall time, ETA, worker health) on stderr — and, when tracing, as
@@ -140,7 +137,7 @@ def _print_charts() -> None:
 
 
 def _call(table_fn, backend, tracer=None, metrics=None, duration=None,
-          event_queue=None, jobs=None, ports=None, drop_policy=None,
+          jobs=None, ports=None, drop_policy=None,
           algorithm=None, workload=None, heartbeat=None):
     """Pass each option only to experiments that accept it, so the
     cycle-accurate tables stay untouched by the flags."""
@@ -156,8 +153,6 @@ def _call(table_fn, backend, tracer=None, metrics=None, duration=None,
         kwargs["metrics"] = metrics
     if duration is not None and "duration" in parameters:
         kwargs["duration"] = duration
-    if event_queue is not None and "event_queue" in parameters:
-        kwargs["event_queue"] = event_queue
     if jobs is not None and "jobs" in parameters:
         kwargs["jobs"] = jobs
     if ports is not None and "ports" in parameters:
@@ -203,14 +198,6 @@ def main(argv) -> int:
         "--analyze", action="store_true",
         help="after the run, summarize the --trace file with "
              "'python -m repro.obs summarize' (requires --trace)")
-    parser.add_argument(
-        "--event-queue", default=None, metavar="NAME",
-        help="simulator pending-event backend for simulation-driven "
-             "experiments (see --list-event-queues); results are "
-             "bit-identical across backends")
-    parser.add_argument(
-        "--list-event-queues", action="store_true",
-        help="list registered event-queue backends and exit")
     parser.add_argument(
         "--jobs", default=None, type=int, metavar="N",
         help="shard sweep points of sweep-style experiments (fig11, "
@@ -258,12 +245,6 @@ def main(argv) -> int:
         for name in available_backends():
             print(f"{name:12s} {get_backend(name).description}")
         return 0
-    if args.list_event_queues:
-        from repro.sim.events import (available_event_queues,
-                                      get_event_queue)
-        for name in available_event_queues():
-            print(f"{name:12s} {get_event_queue(name).description}")
-        return 0
     if args.list_drop_policies:
         from repro.sim.buffer import (available_drop_policies,
                                       get_drop_policy)
@@ -301,14 +282,6 @@ def main(argv) -> int:
     if args.ports is not None and args.ports < 1:
         print(f"--ports must be >= 1, got {args.ports}")
         return 2
-    if args.event_queue is not None:
-        from repro.errors import ConfigurationError
-        from repro.sim.events import get_event_queue
-        try:
-            get_event_queue(args.event_queue)  # fail fast
-        except ConfigurationError as error:
-            print(error)
-            return 2
     if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}")
         return 2
@@ -361,7 +334,6 @@ def main(argv) -> int:
                     table = _call(table_fn, args.backend, tracer=tracer,
                                   metrics=metrics,
                                   duration=args.duration,
-                                  event_queue=args.event_queue,
                                   jobs=args.jobs, ports=args.ports,
                                   drop_policy=args.drop_policy,
                                   algorithm=args.algorithm,

@@ -47,7 +47,7 @@ def _rate_limit_point(spec: Tuple, tracer=None,
     serialized into ``trace_jsonl`` for the parent to merge; otherwise
     the string is empty.
     """
-    index, target, node_index, duration, event_queue, traced = spec
+    index, target, node_index, duration, traced = spec
     reset_packet_ids(point_seed(index))
     sink = None
     if tracer is None and traced:
@@ -56,7 +56,7 @@ def _rate_limit_point(spec: Tuple, tracer=None,
     rates = default_node_rates()
     rates[node_index] = target
     run = run_hierarchy(rates, duration=duration, tracer=tracer,
-                        metrics=metrics, event_queue=event_queue)
+                        metrics=metrics)
     achieved = run.node_rates_bps.get(f"n{node_index}", 0.0)
     return achieved, sink.getvalue() if sink is not None else ""
 
@@ -65,15 +65,13 @@ def rate_limit_table(sweep_gbps: Sequence[float] = DEFAULT_SWEEP_GBPS,
                      duration: float = 0.02,
                      node_index: int = SAMPLED_NODE,
                      tracer=None, metrics=None,
-                     event_queue: str = "reference",
                      jobs: int = 1, heartbeat=None) -> Table:
     """Fig. 11's sweep: configured vs achieved rate on one node.
 
     ``tracer``/``metrics`` observe every simulation in the sweep; a
     ``mark`` event delimits each sweep point in the trace stream.
-    ``event_queue`` selects the simulator's pending-event backend and
-    ``jobs`` shards sweep points over processes — both leave every
-    result byte-identical.  (``metrics`` aggregation is in-process, so a
+    ``jobs`` shards sweep points over processes and leaves every result
+    byte-identical.  (``metrics`` aggregation is in-process, so a
     metrics-observed sweep always runs sequentially.)  ``heartbeat``
     (:class:`repro.obs.runtime.SweepHeartbeat`) reports sweep liveness
     on stderr/trace without touching results.
@@ -83,8 +81,7 @@ def rate_limit_table(sweep_gbps: Sequence[float] = DEFAULT_SWEEP_GBPS,
                "(Token Bucket at level 2)"),
         headers=["configured_gbps", "achieved_gbps", "error_pct"],
     )
-    specs = [(index, target, node_index, duration, event_queue,
-              tracer is not None)
+    specs = [(index, target, node_index, duration, tracer is not None)
              for index, target in enumerate(sweep_gbps)]
     sharded = jobs > 1 and metrics is None
     if sharded:
@@ -121,16 +118,14 @@ def rate_limit_table(sweep_gbps: Sequence[float] = DEFAULT_SWEEP_GBPS,
 
 
 def all_nodes_table(duration: float = 0.02,
-                    tracer=None, metrics=None,
-                    event_queue: str = "reference") -> Table:
+                    tracer=None, metrics=None) -> Table:
     """Enforcement across *all* ten nodes simultaneously."""
     reset_packet_ids(point_seed(_ALL_NODES_POINT))
     rates = default_node_rates()
     if tracer is not None:
         tracer.mark(0.0, "fig11.all_nodes")
     run = run_hierarchy(rates, duration=duration,
-                        tracer=tracer, metrics=metrics,
-                        event_queue=event_queue)
+                        tracer=tracer, metrics=metrics)
     table = Table(
         title="Fig. 11 (companion): simultaneous enforcement, all nodes",
         headers=["node", "configured_gbps", "achieved_gbps", "error_pct"],

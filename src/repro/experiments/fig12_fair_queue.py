@@ -38,8 +38,7 @@ def _fair_queue_point(spec: Tuple, tracer=None,
     trace string is filled only when running sharded with tracing
     requested (the parent merges it).
     """
-    (index, target, node_index, duration, event_queue,
-     flow_weights, traced) = spec
+    index, target, node_index, duration, flow_weights, traced = spec
     reset_packet_ids(point_seed(index))
     sink = None
     if tracer is None and traced:
@@ -49,8 +48,7 @@ def _fair_queue_point(spec: Tuple, tracer=None,
     rates[node_index] = target
     run = run_hierarchy(rates, duration=duration,
                         flow_weights=flow_weights,
-                        tracer=tracer, metrics=metrics,
-                        event_queue=event_queue)
+                        tracer=tracer, metrics=metrics)
     flow_rates = [rate / 1e9 for flow_id, rate
                   in sorted(run.flow_rates_bps.items())
                   if flow_id.startswith(f"n{node_index}.")]
@@ -62,15 +60,13 @@ def fair_queue_table(sweep_gbps: Sequence[float] = DEFAULT_SWEEP_GBPS,
                      node_index: int = SAMPLED_NODE,
                      flow_weights: Optional[List[float]] = None,
                      tracer=None, metrics=None,
-                     event_queue: str = "reference",
                      jobs: int = 1, heartbeat=None) -> Table:
     """Fig. 12's sweep: per-flow shares inside the sampled node.
 
     ``tracer``/``metrics`` observe every simulation in the sweep; a
     ``mark`` event delimits each sweep point in the trace stream.
-    ``event_queue`` selects the simulator's pending-event backend and
-    ``jobs`` shards sweep points over processes — both leave every
-    result byte-identical.  (``metrics`` aggregation is in-process, so a
+    ``jobs`` shards sweep points over processes and leaves every result
+    byte-identical.  (``metrics`` aggregation is in-process, so a
     metrics-observed sweep always runs sequentially.)
     """
     weighted = flow_weights is not None
@@ -81,8 +77,8 @@ def fair_queue_table(sweep_gbps: Sequence[float] = DEFAULT_SWEEP_GBPS,
         headers=["node_rate_gbps", "expected_per_flow_gbps",
                  "min_flow_gbps", "max_flow_gbps", "jain_index"],
     )
-    specs = [(index, target, node_index, duration, event_queue,
-              flow_weights, tracer is not None)
+    specs = [(index, target, node_index, duration, flow_weights,
+              tracer is not None)
              for index, target in enumerate(sweep_gbps)]
     sharded = jobs > 1 and metrics is None
     if sharded:

@@ -48,7 +48,6 @@ class Fabric:
                  algorithm: str = "drr",
                  host_algorithm: Optional[str] = None,
                  backend: Optional[str] = None,
-                 event_queue: str = "reference",
                  buffer_bytes: Optional[int] = None,
                  drop_policy: str = "tail-drop",
                  seed: int = 0, ttl: int = DEFAULT_TTL,
@@ -59,7 +58,7 @@ class Fabric:
         topology.validate()
         self.topology = topology
         self.sim = sim if sim is not None else Simulator(
-            tracer=tracer, metrics=metrics, queue=event_queue)
+            tracer=tracer, metrics=metrics)
         self.routes = build_routes(topology)
         self.collector = collector if collector is not None \
             else FctCollector()

@@ -840,9 +840,9 @@ class TraceAnalysis:
         issues (reconstruction errors included).  A trace is healthy
         when no issue has ``error`` severity."""
         issues = list(self.issues)
-        issues.extend(self._audit_conservation())
-        issues.extend(self._audit_flow_ordering())
-        issues.extend(self._audit_link_overlap())
+        issues.extend(self.audit_conservation())
+        issues.extend(self.audit_flow_ordering())
+        issues.extend(self.audit_link_overlap())
         return issues
 
     @property
@@ -850,7 +850,9 @@ class TraceAnalysis:
         return [issue for issue in self.audit()
                 if issue.severity == "error"]
 
-    def _audit_conservation(self) -> List[Issue]:
+    def audit_conservation(self) -> List[Issue]:
+        """Packet conservation: arrivals cover departures plus drops;
+        packets or list elements left over at the end are warnings."""
         issues: List[Issue] = []
         arrived = sum(1 for timeline in self.timelines
                       if timeline.arrival_t is not None)
@@ -878,7 +880,7 @@ class TraceAnalysis:
                 "resident in ordered lists at end of trace"))
         return issues
 
-    def _audit_flow_ordering(self) -> List[Issue]:
+    def audit_flow_ordering(self) -> List[Issue]:
         """Per-flow FIFO: packets of one flow must depart in arrival
         order (the per-flow queues are FIFOs; a violation means the
         trace, or the scheduler, is broken)."""
@@ -899,7 +901,7 @@ class TraceAnalysis:
                     "out of per-flow FIFO order"))
         return issues
 
-    def _audit_link_overlap(self) -> List[Issue]:
+    def audit_link_overlap(self) -> List[Issue]:
         """Each link serializes one packet at a time: departure windows
         must not overlap *per port* (an unlabelled trace is one link;
         a multi-port trace is audited per ``port`` label — cross-port

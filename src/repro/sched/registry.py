@@ -1,7 +1,7 @@
 """Scheduling-algorithm registry: the Section 4 catalogue by name.
 
 Mirrors the discovery pattern of :mod:`repro.core.backends` (ordered
--list engines) and :mod:`repro.sim.events` (event queues): every
+-list engines): every
 :class:`~repro.sched.base.SchedulingAlgorithm` in :mod:`repro.sched`
 is registered under a stable CLI-friendly name, so experiments select
 policies with ``--algorithm NAME`` (and enumerate them with

@@ -19,8 +19,6 @@ from repro.sim.generators import (BackloggedSource, CbrGenerator,
 from repro.sim.link import GBPS, Link, gbps
 from repro.sim.packet import MTU_BYTES, Packet
 from repro.sim.recorder import Departure, Recorder
-from repro.sim.trace import (departures_csv, save_trace, write_departures,
-                             write_flow_summary)
 
 __all__ = [
     "BufferManager",
@@ -55,8 +53,4 @@ __all__ = [
     "Packet",
     "Departure",
     "Recorder",
-    "departures_csv",
-    "save_trace",
-    "write_departures",
-    "write_flow_summary",
 ]

@@ -3,27 +3,14 @@
 Time is a float (seconds).  Events scheduled for the same instant fire in
 scheduling order, which keeps runs fully deterministic.
 
-The pending-event set lives behind a small :class:`EventQueue` interface
-with a registry mirroring :mod:`repro.core.backends`:
-
-``reference``
-    The original ``heapq`` binary heap.  Entries are ``(time, seq,
-    handle, callback)`` tuples so same-instant events pop in scheduling
-    order.
-
-``calendar``
-    A calendar queue: events are hashed into fixed-width time buckets
-    (``slot = floor(time / bucket_width)``) kept in a dict, with a small
-    heap of active slot ids.  Each bucket is itself a tiny heap keyed by
-    ``(time, seq)``.  Because the slot index is monotone in time, the
-    global minimum always lives in the minimum active slot, so firing
-    order — including same-instant ties — is identical to the reference.
-
-Both backends cancel lazily: :meth:`EventHandle.cancel` marks the handle
-and the entry is discarded when it surfaces.  To keep the resident set
-bounded under heavy cancel churn (retry timers), a queue compacts — i.e.
-rebuilds without dead entries — once more than half its resident entries
-are cancelled (with a small absolute floor so tiny queues never bother).
+Pending events live in one :class:`HeapEventQueue`, a ``heapq`` binary
+heap of ``(time, seq, handle, callback)`` tuples, so same-instant events
+pop in scheduling order.  Cancellation is lazy: :meth:`EventHandle.cancel`
+marks the handle and the entry is discarded when it surfaces.  To keep
+the resident set bounded under heavy cancel churn (retry timers), the
+queue compacts — i.e. rebuilds without dead entries — once more than
+half its resident entries are cancelled (with a small absolute floor so
+tiny queues never bother).
 """
 
 from __future__ import annotations
@@ -31,10 +18,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.scope import NULL_METRICS, NULL_TRACER
 
 EventCallback = Callable[[], None]
@@ -76,58 +62,17 @@ class EventHandle:
 
 
 # ----------------------------------------------------------------------
-# Event-queue backends
+# Pending-event queue
 # ----------------------------------------------------------------------
-class EventQueue:
-    """Ordered set of pending events.
+class HeapEventQueue:
+    """Pending events in one ``heapq`` binary heap.
 
-    Entries are ``(time, seq, handle, callback)`` tuples; the queue must
-    surface them in ``(time, seq)`` order.  Cancellation is lazy: the
-    simulator calls :meth:`note_cancel` when a resident entry's handle is
-    cancelled, and the queue discards dead entries when they surface or
-    during :meth:`compact`.
+    Entries are ``(time, seq, handle, callback)`` tuples, so they pop in
+    ``(time, seq)`` order and same-instant events fire in scheduling
+    order.  Cancellation is lazy: the simulator calls :meth:`note_cancel`
+    when a resident entry's handle is cancelled, and the queue discards
+    dead entries when they surface or during :meth:`compact`.
     """
-
-    name = "abstract"
-
-    def push(self, entry: EventEntry) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Optional[EventEntry]:
-        """Remove and return the next live entry, or None when empty."""
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live entry, or None when empty."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        """Number of live (non-cancelled) resident entries."""
-        raise NotImplementedError
-
-    @property
-    def resident(self) -> int:
-        """Total resident entries, including cancelled ones."""
-        raise NotImplementedError
-
-    @property
-    def cancelled(self) -> int:
-        """Cancelled entries still occupying space."""
-        raise NotImplementedError
-
-    def note_cancel(self) -> None:
-        """A resident entry's handle was cancelled."""
-        raise NotImplementedError
-
-    def compact(self) -> None:
-        """Rebuild without cancelled entries."""
-        raise NotImplementedError
-
-
-class HeapEventQueue(EventQueue):
-    """The reference backend: one ``heapq`` binary heap."""
-
-    name = "reference"
 
     __slots__ = ("_heap", "_cancelled")
 
@@ -139,6 +84,7 @@ class HeapEventQueue(EventQueue):
         heapq.heappush(self._heap, entry)
 
     def pop(self) -> Optional[EventEntry]:
+        """Remove and return the next live entry, or None when empty."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -149,6 +95,7 @@ class HeapEventQueue(EventQueue):
         return None
 
     def peek_time(self) -> Optional[float]:
+        """Time of the next live entry, or None when empty."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
@@ -156,189 +103,31 @@ class HeapEventQueue(EventQueue):
         return heap[0][0] if heap else None
 
     def __len__(self) -> int:
+        """Number of live (non-cancelled) resident entries."""
         return len(self._heap) - self._cancelled
 
     @property
     def resident(self) -> int:
+        """Total resident entries, including cancelled ones."""
         return len(self._heap)
 
     @property
     def cancelled(self) -> int:
+        """Cancelled entries still occupying space."""
         return self._cancelled
 
     def note_cancel(self) -> None:
+        """A resident entry's handle was cancelled."""
         self._cancelled += 1
         if (self._cancelled > COMPACT_MIN_CANCELLED
                 and self._cancelled * 2 > len(self._heap)):
             self.compact()
 
     def compact(self) -> None:
+        """Rebuild without cancelled entries."""
         self._heap = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
-
-
-class CalendarEventQueue(EventQueue):
-    """Calendar-queue backend: dict of fixed-width time buckets.
-
-    ``bucket_width`` is the slot granularity in seconds; the default of
-    one microsecond is a few packet times at the 40 Gbps link rates the
-    experiments use, so same-bucket heaps stay tiny while the slot heap
-    stays far smaller than the event count.
-    """
-
-    name = "calendar"
-
-    __slots__ = ("_width", "_buckets", "_slot_heap", "_active",
-                 "_resident", "_cancelled")
-
-    #: Slot index cap: guards ``int(inf / width)`` overflow for events
-    #: scheduled arbitrarily far out.
-    MAX_SLOT = 2 ** 62
-
-    def __init__(self, bucket_width: float = 1e-6) -> None:
-        if not (bucket_width > 0) or math.isinf(bucket_width):
-            raise ConfigurationError(
-                f"bucket_width must be a positive finite float, "
-                f"got {bucket_width!r}")
-        self._width = bucket_width
-        self._buckets: Dict[int, List[EventEntry]] = {}
-        self._slot_heap: List[int] = []
-        self._active: set = set()
-        self._resident = 0
-        self._cancelled = 0
-
-    def _slot(self, time: float) -> int:
-        if time >= self._width * self.MAX_SLOT:
-            return self.MAX_SLOT
-        return int(time / self._width)
-
-    def push(self, entry: EventEntry) -> None:
-        slot = self._slot(entry[0])
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            self._buckets[slot] = [entry]
-            self._active.add(slot)
-            heapq.heappush(self._slot_heap, slot)
-        else:
-            heapq.heappush(bucket, entry)
-        self._resident += 1
-
-    def _min_bucket(self) -> Optional[List[EventEntry]]:
-        """Bucket holding the global minimum live entry, cancelled
-        entries pruned from its front; None when the queue is empty."""
-        slot_heap = self._slot_heap
-        buckets = self._buckets
-        while slot_heap:
-            slot = slot_heap[0]
-            bucket = buckets.get(slot)
-            if bucket:
-                while bucket and bucket[0][2].cancelled:
-                    heapq.heappop(bucket)
-                    self._resident -= 1
-                    self._cancelled -= 1
-                if bucket:
-                    return bucket
-            heapq.heappop(slot_heap)
-            self._active.discard(slot)
-            buckets.pop(slot, None)
-        return None
-
-    def pop(self) -> Optional[EventEntry]:
-        bucket = self._min_bucket()
-        if bucket is None:
-            return None
-        entry = heapq.heappop(bucket)
-        self._resident -= 1
-        return entry
-
-    def peek_time(self) -> Optional[float]:
-        bucket = self._min_bucket()
-        return bucket[0][0] if bucket else None
-
-    def __len__(self) -> int:
-        return self._resident - self._cancelled
-
-    @property
-    def resident(self) -> int:
-        return self._resident
-
-    @property
-    def cancelled(self) -> int:
-        return self._cancelled
-
-    def note_cancel(self) -> None:
-        self._cancelled += 1
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > self._resident):
-            self.compact()
-
-    def compact(self) -> None:
-        live = [e for bucket in self._buckets.values()
-                for e in bucket if not e[2].cancelled]
-        self._buckets.clear()
-        self._slot_heap.clear()
-        self._active.clear()
-        self._resident = 0
-        self._cancelled = 0
-        for entry in live:
-            self.push(entry)
-
-
-# ----------------------------------------------------------------------
-# Backend registry (mirrors repro.core.backends)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EventQueueSpec:
-    """Registry entry for an event-queue backend."""
-
-    name: str
-    factory: Callable[..., EventQueue]
-    description: str = ""
-
-
-_EVENT_QUEUES: Dict[str, EventQueueSpec] = {}
-
-
-def register_event_queue(name: str, factory: Callable[..., EventQueue],
-                         description: str = "",
-                         overwrite: bool = False) -> EventQueueSpec:
-    """Register an event-queue backend under ``name``."""
-    if name in _EVENT_QUEUES and not overwrite:
-        raise ConfigurationError(
-            f"event queue {name!r} already registered "
-            f"(pass overwrite=True to replace)")
-    spec = EventQueueSpec(name=name, factory=factory,
-                          description=description)
-    _EVENT_QUEUES[name] = spec
-    return spec
-
-
-def available_event_queues() -> List[str]:
-    return sorted(_EVENT_QUEUES)
-
-
-def get_event_queue(name: str) -> EventQueueSpec:
-    try:
-        return _EVENT_QUEUES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown event queue {name!r}; available: "
-            f"{', '.join(available_event_queues())}") from None
-
-
-def make_event_queue(name: str, **config) -> EventQueue:
-    """Instantiate a registered backend (``config`` goes to its factory)."""
-    return get_event_queue(name).factory(**config)
-
-
-register_event_queue(
-    "reference", HeapEventQueue,
-    description="heapq binary heap (the original backend)")
-register_event_queue(
-    "calendar", CalendarEventQueue,
-    description="calendar queue: fixed-width time buckets with lazy "
-                "cancellation and compaction")
 
 
 # ----------------------------------------------------------------------
@@ -358,29 +147,13 @@ class Simulator:
     live and cancelled-but-resident event populations (updated on every
     schedule/cancel/fire, so the gauge watermarks bound the queue's
     footprint over the whole run).
-
-    ``queue`` selects the pending-event backend: a registered name
-    (``"reference"``, ``"calendar"``) or an :class:`EventQueue` instance;
-    ``queue_config`` passes keyword options to the named backend's
-    factory (e.g. ``{"bucket_width": 1e-7}``).  All backends fire events
-    in identical order, so results are bit-identical across them.
     """
 
-    def __init__(self, tracer=None, metrics=None,
-                 queue: "str | EventQueue" = "reference",
-                 queue_config: Optional[dict] = None) -> None:
+    def __init__(self, tracer=None, metrics=None) -> None:
         self.now = 0.0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        if isinstance(queue, str):
-            self._queue = make_event_queue(queue, **(queue_config or {}))
-        else:
-            if queue_config:
-                raise ConfigurationError(
-                    "queue_config only applies when queue is a name")
-            self._queue = queue
-        self.queue_name = getattr(self._queue, "name",
-                                  type(self._queue).__name__)
+        self._queue = HeapEventQueue()
         self._seq = itertools.count()
         self.events_fired = 0
         # Fast-forward window for Simulator.advance_to (set by run/
@@ -533,19 +306,26 @@ class Simulator:
             self.now = end_time
 
     def run(self, max_events: int = 10_000_000) -> None:
-        """Drain the event queue completely."""
+        """Drain the event queue completely.
+
+        Raises :class:`SimulationError` when ``max_events`` events have
+        fired and another is still pending; a run that empties the queue
+        within the budget completes.
+        """
         prev_horizon, prev_budget = self._horizon, self._budget
         self._horizon = math.inf
         budget = (None if max_events is None
                   else self.events_fired + max_events)
         self._budget = budget
+        queue = self._queue
         try:
             while True:
-                if not self.step():
-                    break
-                if budget is not None and self.events_fired >= budget:
+                if (budget is not None and self.events_fired >= budget
+                        and len(queue)):
                     raise SimulationError(
                         f"exceeded max_events={max_events}; "
                         "likely a livelock")
+                if not self.step():
+                    break
         finally:
             self._horizon, self._budget = prev_horizon, prev_budget

@@ -2,7 +2,7 @@
 
 The quick tests pin each transform's mechanics and run one cheap
 algorithm through the battery; the full registry sweep (every
-algorithm x every transform x backend/event-queue substitution) is
+algorithm x every transform x backend substitution) is
 ``slow``-marked for the conformance CI job.
 """
 
@@ -13,7 +13,7 @@ from repro.conformance.metamorphic import (TRANSFORMS, apply_transform,
 from repro.conformance.scenarios import make_scenario
 from repro.sched.registry import available_algorithms, get_spec
 
-SUBSTITUTIONS = [{"backend": "fast"}, {"event_queue": "calendar"}]
+SUBSTITUTIONS = [{"backend": "fast"}]
 
 
 def test_scale_time_rescales_everything_consistently():
@@ -71,7 +71,7 @@ def test_drr_battery_preserves_verdicts():
                                   substitutions=SUBSTITUTIONS)
     assert result.passed, result.mismatches
     assert set(result.transformed) == (
-        set(TRANSFORMS) | {"backend=fast", "event_queue=calendar"})
+        set(TRANSFORMS) | {"backend=fast"})
 
 
 @pytest.mark.slow

@@ -22,13 +22,12 @@ def _run(*argv):
     return main(["prog", *argv])
 
 
-def _table(jobs=1, event_queue="reference", **kwargs):
+def _table(jobs=1, **kwargs):
     sink = io.StringIO()
     tracer = Tracer(capacity=0, sink=sink)
     table = fabric_incast_table(buffer_kib_sweep=SWEEP,
                                 duration=DURATION, tracer=tracer,
-                                event_queue=event_queue, jobs=jobs,
-                                **kwargs)
+                                jobs=jobs, **kwargs)
     return table.to_text(), sink.getvalue()
 
 
@@ -36,10 +35,6 @@ def test_sharded_run_matches_sequential_bytes():
     sequential = _table(jobs=1)
     assert _table(jobs=2) == sequential
     assert sequential[1].count('"kind":"mark"') == len(SWEEP)
-
-
-def test_calendar_event_queue_matches_reference_bytes():
-    assert _table(event_queue="calendar") == _table()
 
 
 def test_matches_single_switch_incast_shape():

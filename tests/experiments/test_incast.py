@@ -21,12 +21,11 @@ def _run(*argv):
     return main(["prog", *argv])
 
 
-def _table(jobs=1, event_queue="reference", **kwargs):
+def _table(jobs=1, **kwargs):
     sink = io.StringIO()
     tracer = Tracer(capacity=0, sink=sink)
     table = incast_table(buffer_kib_sweep=SWEEP, duration=DURATION,
-                         tracer=tracer, event_queue=event_queue,
-                         jobs=jobs, **kwargs)
+                         tracer=tracer, jobs=jobs, **kwargs)
     return table.to_text(), sink.getvalue()
 
 
@@ -35,10 +34,6 @@ def test_sharded_run_matches_sequential_bytes():
     assert _table(jobs=2) == sequential
     # One mark per sweep point, regardless of sharding.
     assert sequential[1].count('"kind":"mark"') == len(SWEEP)
-
-
-def test_calendar_event_queue_matches_reference_bytes():
-    assert _table(event_queue="calendar") == _table()
 
 
 def test_small_buffer_drops_large_buffer_does_not():

@@ -1,9 +1,8 @@
-"""Sweep determinism: --jobs N and --event-queue leave output identical.
+"""Sweep determinism: --jobs N leaves output identical.
 
 The contract (see :mod:`repro.experiments.runner`) is byte-identity:
 the rendered table AND the merged JSONL trace stream of a sharded sweep
-must equal the sequential run's, and the calendar event queue must
-reproduce the reference heap's results exactly.  Short durations keep
+must equal the sequential run's.  Short durations keep
 the workloads CI-sized; identity is duration-independent because every
 sweep point reseeds its packet-id namespace from its index.
 """
@@ -23,43 +22,34 @@ from repro.obs import Tracer
 DURATION = 0.001
 
 
-def _fig12(jobs, event_queue):
+def _fig12(jobs):
     sink = io.StringIO()
     tracer = Tracer(capacity=0, sink=sink)
     table = fair_queue_table(sweep_gbps=(0.5, 2.0, 8.0),
-                            duration=DURATION, tracer=tracer,
-                            event_queue=event_queue, jobs=jobs)
+                            duration=DURATION, tracer=tracer, jobs=jobs)
     return table.to_text(), sink.getvalue()
 
 
-def _fig11(jobs, event_queue):
+def _fig11(jobs):
     sink = io.StringIO()
     tracer = Tracer(capacity=0, sink=sink)
     table = rate_limit_table(sweep_gbps=(0.5, 4.0), duration=DURATION,
-                             tracer=tracer, event_queue=event_queue,
-                             jobs=jobs)
+                             tracer=tracer, jobs=jobs)
     return table.to_text(), sink.getvalue()
 
 
 def test_fig12_sharded_matches_sequential_bytes():
-    sequential_text, sequential_trace = _fig12(1, "reference")
-    sharded_text, sharded_trace = _fig12(2, "reference")
+    sequential_text, sequential_trace = _fig12(1)
+    sharded_text, sharded_trace = _fig12(2)
     assert sharded_text == sequential_text
     assert sharded_trace == sequential_trace
     assert sequential_trace.count('"kind":"mark"') == 3  # one per point
 
 
-def test_fig12_calendar_matches_reference_bytes():
-    reference_text, reference_trace = _fig12(1, "reference")
-    calendar_text, calendar_trace = _fig12(2, "calendar")
-    assert calendar_text == reference_text
-    assert calendar_trace == reference_trace
-
-
-def test_fig11_sharded_calendar_matches_sequential_reference():
-    sequential = _fig11(1, "reference")
-    assert _fig11(2, "reference") == sequential
-    assert _fig11(2, "calendar") == sequential
+def test_fig11_sharded_matches_sequential_bytes():
+    sequential = _fig11(1)
+    assert _fig11(2) == sequential
+    assert sequential[1].count('"kind":"mark"') == 2  # one per point
 
 
 def test_point_seed_contract():
@@ -83,29 +73,21 @@ def _square(n):
 # Multi-port incast: the same byte-identity contract must hold with a
 # shared buffer in the loop, for every ordered-list backend.
 # ----------------------------------------------------------------------
-def _incast(jobs, event_queue, backend):
+def _incast(jobs, backend):
     sink = io.StringIO()
     tracer = Tracer(capacity=0, sink=sink)
     table = incast_table(buffer_kib_sweep=(8, 32), duration=5e-4,
-                         tracer=tracer, event_queue=event_queue,
-                         jobs=jobs, backend=backend)
+                         tracer=tracer, jobs=jobs, backend=backend)
     return table.to_text(), sink.getvalue()
 
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_incast_byte_identical_across_queues_and_jobs(backend):
     """4-port incast output is a function of the sweep spec alone:
-    substituting the calendar event queue for the reference heap,
-    sharding over 4 workers, or both, must reproduce the sequential
-    reference run byte for byte — under every list backend."""
-    baseline_text, baseline_trace = _incast(1, "reference", backend)
+    sharding over 4 workers must reproduce the sequential run byte for
+    byte — under every list backend, each port with its own queues."""
+    baseline_text, baseline_trace = _incast(1, backend)
     assert baseline_trace.count('"kind":"mark"') == 2  # one per point
-    for jobs, event_queue in ((4, "reference"), (1, "calendar"),
-                              (4, "calendar")):
-        text, trace = _incast(jobs, event_queue, backend)
-        assert text == baseline_text, (
-            f"{backend}: table diverged at jobs={jobs}, "
-            f"event_queue={event_queue}")
-        assert trace == baseline_trace, (
-            f"{backend}: trace diverged at jobs={jobs}, "
-            f"event_queue={event_queue}")
+    text, trace = _incast(4, backend)
+    assert text == baseline_text, f"{backend}: table diverged at jobs=4"
+    assert trace == baseline_trace, f"{backend}: trace diverged at jobs=4"

@@ -1,59 +1,26 @@
-"""Event-queue backends: differential, calendar-specific, and soak tests.
+"""The pending-event queue: firing order, cancellation, and soak tests.
 
-The load-bearing property is that every registered backend fires events
-in exactly the (time, seq) order of the reference heap — including
-same-instant ties and lazily-cancelled entries — so simulation results
-are bit-identical across backends.  The hypothesis lockstep test below
-drives random schedule/cancel/advance programs through a Simulator per
-backend and compares the full firing logs.
+The load-bearing property is that the simulator fires events in exactly
+``(time, seq)`` order — including same-instant ties, lazily-cancelled
+entries, and events scheduled from inside callbacks.  The hypothesis
+test below drives random schedule/cancel/advance programs through a
+:class:`Simulator` and compares the firing sequence against a
+brute-force oracle: the live events sorted by ``(time, seq)``.
 """
 
 import itertools
-import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.sim.events import (COMPACT_MIN_CANCELLED, CalendarEventQueue,
-                              HeapEventQueue, Simulator,
-                              available_event_queues, get_event_queue,
-                              make_event_queue, register_event_queue)
-
-BACKENDS = ("reference", "calendar")
+from repro.sim.events import COMPACT_MIN_CANCELLED, Simulator
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The simulator's basic contract
 # ----------------------------------------------------------------------
-def test_registry_lists_both_backends():
-    assert set(BACKENDS) <= set(available_event_queues())
-    assert get_event_queue("reference").factory is HeapEventQueue
-    assert get_event_queue("calendar").factory is CalendarEventQueue
-
-
-def test_registry_rejects_unknown_and_duplicate_names():
-    with pytest.raises(ConfigurationError):
-        get_event_queue("nope")
-    with pytest.raises(ConfigurationError):
-        register_event_queue("reference", HeapEventQueue)
-
-
-def test_queue_config_reaches_factory():
-    queue = make_event_queue("calendar", bucket_width=1e-3)
-    assert queue._width == 1e-3
-    with pytest.raises(ConfigurationError):
-        Simulator(queue=HeapEventQueue(),
-                  queue_config={"bucket_width": 1e-3})
-
-
-# ----------------------------------------------------------------------
-# Both backends pass the simulator's basic contract
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_time_order_and_fifo_ties(backend):
-    sim = Simulator(queue=backend)
+def test_time_order_and_fifo_ties():
+    sim = Simulator()
     log = []
     sim.schedule(2.0, lambda: log.append("late"))
     for name in "abc":  # same instant: scheduling order
@@ -63,15 +30,14 @@ def test_time_order_and_fifo_ties(backend):
     assert log == ["early", "a", "b", "c", "late"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cancel_then_fire_race(backend):
+def test_cancel_then_fire_race():
     """Cancelling one of several same-instant entries must skip exactly
-    that one, even after a peek already surfaced the bucket."""
-    sim = Simulator(queue=backend)
+    that one, even after a peek already surfaced it."""
+    sim = Simulator()
     log = []
     doomed = sim.schedule(1.0, lambda: log.append("doomed"))
     sim.schedule(1.0, lambda: log.append("kept"))
-    assert sim.peek_next_time() == 1.0  # may prune into the bucket
+    assert sim.peek_next_time() == 1.0
     doomed.cancel()
     assert sim.peek_next_time() == 1.0
     sim.run()
@@ -79,9 +45,8 @@ def test_cancel_then_fire_race(backend):
     assert sim.pending_events == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cancel_after_fire_is_noop(backend):
-    sim = Simulator(queue=backend)
+def test_cancel_after_fire_is_noop():
+    sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.run()
@@ -90,50 +55,9 @@ def test_cancel_after_fire_is_noop(backend):
 
 
 # ----------------------------------------------------------------------
-# Calendar-queue specifics
+# Hypothesis: firing order against a brute-force oracle
 # ----------------------------------------------------------------------
-def test_calendar_bucket_width_validated():
-    for width in (0.0, -1.0, math.inf):
-        with pytest.raises(ConfigurationError):
-            CalendarEventQueue(bucket_width=width)
-
-
-def test_calendar_far_future_slot_is_clamped():
-    sim = Simulator(queue="calendar")
-    log = []
-    sim.schedule(1e300, lambda: log.append("far"))
-    sim.schedule(1.0, lambda: log.append("near"))
-    assert sim.peek_next_time() == 1.0
-    sim.run()
-    assert log == ["near", "far"]
-
-
-def test_calendar_cross_bucket_order():
-    """Entries microseconds apart land in different buckets but still
-    fire in time order; entries within one bucket order by (time, seq)."""
-    sim = Simulator(queue="calendar", queue_config={"bucket_width": 1e-6})
-    log = []
-    for t in (5e-6, 1e-7, 3e-6, 1.5e-7, 1e-7):
-        sim.schedule(t, lambda t=t: log.append(t))
-    sim.run()
-    assert log == [1e-7, 1e-7, 1.5e-7, 3e-6, 5e-6]
-
-
-def test_calendar_empty_bucket_is_reclaimed():
-    queue = CalendarEventQueue()
-    sim = Simulator(queue=queue)
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    sim.run()
-    assert len(queue._buckets) == 0
-    assert queue.resident == 0
-
-
-# ----------------------------------------------------------------------
-# Hypothesis: lockstep differential
-# ----------------------------------------------------------------------
-# Delays below, at, and above the calendar bucket width (1 us), plus 0.0
-# so same-instant ties are common.
+# Small delays plus 0.0, so same-instant ties are common.
 _DELAYS = st.sampled_from(
     [0.0, 1e-7, 1.5e-7, 5e-7, 1e-6, 1.5e-6, 3.7e-6, 1e-3])
 
@@ -146,30 +70,68 @@ _COMMANDS = st.lists(
     max_size=80)
 
 
-def _execute(backend, commands):
-    """Run one command program; returns (firing log, final now, fired).
+class _Oracle:
+    """Brute-force pending set: a plain list of ``[time, seq, label,
+    chain_delay, live]`` rows; the next event is the minimum live row
+    by ``(time, seq)``."""
 
-    Callbacks occasionally reschedule so the differential also covers
-    events scheduled from inside the dispatch loop.
-    """
-    sim = Simulator(queue=backend)
+    def __init__(self):
+        self.now = 0.0
+        self.rows = []
+        self.log = []
+        self.fired = 0
+
+    def schedule(self, time, label, chain_delay):
+        self.rows.append([time, len(self.rows), label, chain_delay, True])
+
+    def _next(self):
+        live = [row for row in self.rows if row[4]]
+        return min(live, key=lambda row: (row[0], row[1])) if live \
+            else None
+
+    def run_until(self, end_time, labels):
+        while True:
+            row = self._next()
+            if row is None or (end_time is not None
+                               and row[0] > end_time):
+                break
+            row[4] = False
+            self.now = row[0]
+            self.fired += 1
+            self.log.append((row[2], self.now))
+            if row[3] is not None:  # mirror the in-callback reschedule
+                self.schedule(self.now + row[3], next(labels), None)
+        if end_time is not None and self.now < end_time:
+            self.now = end_time
+
+
+def _chain_delay(label, delay):
+    """Every seventh-ish label reschedules once from its callback."""
+    return delay if label % 7 == 3 else None
+
+
+def _simulate(commands):
+    """Run one command program through a Simulator; returns (firing
+    log, final now, events fired)."""
+    sim = Simulator()
     log = []
     handles = []
     labels = itertools.count()
 
-    def fire(label, delay):
+    def fire(label, chain_delay):
         log.append((label, sim.now))
-        if label % 7 == 3:  # deterministic in-callback reschedule
+        if chain_delay is not None:
             chained = next(labels)
             handles.append(sim.schedule(
-                sim.now + delay, lambda: log.append((chained, sim.now))))
+                sim.now + chain_delay,
+                lambda: log.append((chained, sim.now))))
 
-    for command in commands:
-        kind, value = command
+    for kind, value in commands:
         if kind == "schedule":
             label = next(labels)
             handles.append(sim.schedule(
-                sim.now + value, lambda l=label, d=value: fire(l, d)))
+                sim.now + value,
+                lambda l=label, d=_chain_delay(label, value): fire(l, d)))
         elif kind == "cancel":
             if handles:
                 handles[value % len(handles)].cancel()
@@ -179,34 +141,40 @@ def _execute(backend, commands):
     return log, sim.now, sim.events_fired
 
 
+def _oracle(commands):
+    """The same program through the brute-force oracle."""
+    oracle = _Oracle()
+    labels = itertools.count()
+    for kind, value in commands:
+        if kind == "schedule":
+            label = next(labels)
+            oracle.schedule(oracle.now + value, label,
+                            _chain_delay(label, value))
+        elif kind == "cancel":
+            if oracle.rows:
+                oracle.rows[value % len(oracle.rows)][4] = False
+        else:  # advance
+            oracle.run_until(oracle.now + value, labels)
+    oracle.run_until(None, labels)
+    return oracle.log, oracle.now, oracle.fired
+
+
 @given(commands=_COMMANDS)
-@settings(max_examples=60, deadline=None)
-def test_backends_fire_identically(commands):
-    reference = _execute("reference", commands)
-    calendar = _execute("calendar", commands)
-    assert calendar == reference
-
-
-@given(commands=_COMMANDS, width=st.sampled_from([1e-7, 1e-6, 1e-4, 1.0]))
-@settings(max_examples=30, deadline=None)
-def test_calendar_order_independent_of_bucket_width(commands, width):
-    reference = _execute("reference", commands)
-    sim_result = _execute(
-        CalendarEventQueue(bucket_width=width), commands)
-    assert sim_result == reference
+@settings(max_examples=100, deadline=None)
+def test_firing_order_matches_brute_force_oracle(commands):
+    assert _simulate(commands) == _oracle(commands)
 
 
 # ----------------------------------------------------------------------
 # Soak: compaction bounds the resident set under cancel churn
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_compaction_bounds_resident_under_cancel_churn(backend):
+def test_compaction_bounds_resident_under_cancel_churn():
     """A retry-timer workload (arm, cancel, re-arm x5000) must not grow
     the queue: lazy cancellation alone would retain every dead entry
     until its time surfaced, but compaction rebuilds once dead entries
     outnumber live ones.  The obs gauges see the same bound."""
     metrics = MetricsRegistry()
-    sim = Simulator(queue=backend, metrics=metrics)
+    sim = Simulator(metrics=metrics)
     sim.schedule(1.0, lambda: None)  # one live keeper
     peak_resident = 0
     for _ in range(5_000):
@@ -226,13 +194,13 @@ def test_compaction_bounds_resident_under_cancel_churn(backend):
     assert pending_gauge.value == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tiny_queues_skip_compaction(backend):
+def test_tiny_queues_skip_compaction():
     """Below the absolute floor, cancellations stay lazily resident."""
-    sim = Simulator(queue=backend)
+    sim = Simulator()
     handles = [sim.schedule(1.0, lambda: None)
                for _ in range(COMPACT_MIN_CANCELLED)]
     for handle in handles:
         handle.cancel()
     assert sim.cancelled_events == COMPACT_MIN_CANCELLED
     assert sim.pending_events == 0
+    assert sim._queue.resident == COMPACT_MIN_CANCELLED

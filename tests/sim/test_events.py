@@ -84,6 +84,28 @@ def test_livelock_guard():
         sim.run(max_events=100)
 
 
+def test_run_within_budget_completes():
+    """The budget is checked before each step: a run that empties the
+    queue in exactly ``max_events`` events completes."""
+    sim = Simulator()
+    log = []
+    sim.schedule(1.0, lambda: log.append(1))
+    sim.run(max_events=1)
+    assert log == [1]
+    assert sim.pending_events == 0
+
+
+def test_run_over_budget_raises_while_event_pending():
+    sim = Simulator()
+    log = []
+    sim.schedule(1.0, lambda: log.append(1))
+    sim.schedule(2.0, lambda: log.append(2))
+    with pytest.raises(SimulationError):
+        sim.run(max_events=1)
+    assert log == [1]
+    assert sim.pending_events == 1
+
+
 def test_peek_next_time_skips_cancelled():
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
