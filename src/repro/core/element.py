@@ -32,7 +32,7 @@ ALWAYS_ELIGIBLE: Time = 0
 NEVER_ELIGIBLE: Time = math.inf
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Element:
     """One entry of the ordered list.
 
@@ -68,11 +68,21 @@ class Element:
     #: dequeued").
     seq: int = field(default=-1, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.rank != self.rank:  # NaN check without importing math here
+    # Hand-written rather than generated: one frame per element (the
+    # generated __init__ calls __post_init__), with the same NaN checks.
+    def __init__(self, flow_id: Hashable, rank: Rank,
+                 send_time: Time = ALWAYS_ELIGIBLE, group: int = 0,
+                 payload: Any = None, seq: int = -1) -> None:
+        if rank != rank:  # NaN check without importing math here
             raise ValueError("rank must not be NaN")
-        if self.send_time != self.send_time:
+        if send_time != send_time:
             raise ValueError("send_time must not be NaN")
+        self.flow_id = flow_id
+        self.rank = rank
+        self.send_time = send_time
+        self.group = group
+        self.payload = payload
+        self.seq = seq
 
     def sort_key(self) -> Tuple[Rank, int]:
         """Total order used by the ordered list: rank, then arrival order."""
