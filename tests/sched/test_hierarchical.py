@@ -13,6 +13,7 @@ from repro.sched import (DeficitRoundRobin, HierarchicalScheduler,
                          TokenBucket, WF2Qplus, two_level_tree)
 from repro.sim import (BackloggedSource, FlowQueue, Link, Packet, Simulator,
                        TransmitEngine, gbps)
+from repro.sim.packet import MTU_BYTES
 
 
 # ---------------------------------------------------------------------
@@ -103,6 +104,27 @@ def test_node_is_empty_tracks_descendants():
     assert node.is_empty
     leaves[0].push(Packet("n0.f0"))
     assert not node.is_empty
+
+
+def test_shaped_node_head_size_peeks_at_trigger_time():
+    """A wall-time node reports its head packet as of the tree's
+    latest trigger, not as of time 0."""
+    root = SchedNode("root", WF2Qplus())
+    node = SchedNode("n", TokenBucket(default_burst_bytes=500))
+    root.add_child(node)
+    node.add_child(FlowQueue("f", rate_bps=1e6))
+    scheduler = HierarchicalScheduler(root)
+    for _ in range(3):
+        scheduler.on_arrival("f", Packet("f", size_bytes=400), now=0.0)
+    assert [p.size_bytes for p in scheduler.schedule(0.0)] == [400]
+    # 100 tokens left: the next 400 bytes are due at 2.4 ms, so at the
+    # trigger time nothing below the node is eligible.
+    assert node.head_size() == MTU_BYTES
+    # By 10 ms the bucket is full again: the second packet leaves and
+    # the third is eligible at once.
+    assert [p.size_bytes for p in scheduler.schedule(0.01)] == [400]
+    assert node.head_size() == 400
+    assert node.head.size_bytes == 400
 
 
 def test_nodes_at_same_level_share_one_physical_pieo():
