@@ -48,17 +48,21 @@ class EventHandle:
         self.fired = False
 
     def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            if not self.fired and self.sim is not None:
-                self.sim._note_cancel()
-            # Stamp the cancel at the *current* sim time (the instant it
-            # happens); the armed deadline rides along as a field.  The
-            # deadline is usually in the future, and stamping it as the
-            # event time makes traced streams non-monotonic.
-            now = self.sim.now if self.sim is not None else self.time
-            self.tracer.timer_cancel(now, self.event_id,
-                                     scope="sim", deadline=self.time)
+        """Withdraw the event.  A no-op once it has fired or been
+        cancelled: each ``timer_arm`` gets exactly one ``timer_fire`` or
+        ``timer_cancel``."""
+        if self.cancelled or self.fired:
+            return
+        self.cancelled = True
+        if self.sim is not None:
+            self.sim._note_cancel()
+        # Stamp the cancel at the *current* sim time (the instant it
+        # happens); the armed deadline rides along as a field.  The
+        # deadline is usually in the future, and stamping it as the
+        # event time makes traced streams non-monotonic.
+        now = self.sim.now if self.sim is not None else self.time
+        self.tracer.timer_cancel(now, self.event_id,
+                                 scope="sim", deadline=self.time)
 
 
 # ----------------------------------------------------------------------

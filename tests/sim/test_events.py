@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import MetricsRegistry, Tracer
 from repro.sim.events import Simulator
 
 
@@ -112,3 +113,20 @@ def test_peek_next_time_skips_cancelled():
     sim.schedule(2.0, lambda: None)
     handle.cancel()
     assert sim.peek_next_time() == 2.0
+
+
+def test_cancel_after_fire_emits_nothing():
+    """Cancelling a handle whose event already fired is a full no-op:
+    the timer already got its ``timer_fire``, so no ``timer_cancel``
+    follows and the gauges do not move."""
+    tracer = Tracer()
+    metrics = MetricsRegistry()
+    sim = Simulator(tracer=tracer, metrics=metrics)
+    handle = sim.schedule(1.0, lambda: None)
+    sim.run()
+    handle.cancel()
+    assert [event.kind for event in tracer.events] == [
+        "timer_arm", "timer_fire"]
+    assert not handle.cancelled
+    assert sim.cancelled_events == 0
+    assert metrics.gauge("sim.cancelled_events").max == 0
