@@ -163,8 +163,8 @@ class Fabric:
         finish = packet.departure_time
         self.collector.note_residence(node, finish - packet.arrival_time)
         delay = self.topology.link(node, next_node).delay_s
-        self.sim.schedule(finish + delay,
-                          lambda: self._deliver(next_node, packet))
+        self.sim.post(finish + delay,
+                      lambda: self._deliver(next_node, packet))
 
     def _deliver(self, node: str, packet: Packet) -> None:
         switch = self.switches.get(node)

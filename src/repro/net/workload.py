@@ -107,7 +107,7 @@ class OpenLoopWorkload:
     def start(self, at: Optional[float] = None) -> None:
         first = (self.fabric.sim.now if at is None else at) \
             + self.rng.expovariate(1.0 / self.mean_interarrival_s)
-        self.fabric.sim.schedule(first, self._fire)
+        self.fabric.sim.post(first, self._fire)
 
     def _fire(self) -> None:
         now = self.fabric.sim.now
@@ -121,4 +121,5 @@ class OpenLoopWorkload:
             dport=self.rng.randrange(1024, 65536))
         self.flows_started += 1
         gap = self.rng.expovariate(1.0 / self.mean_interarrival_s)
-        self.fabric.sim.schedule_in(gap, self._fire)
+        sim = self.fabric.sim
+        sim.post(sim.now + gap, self._fire)

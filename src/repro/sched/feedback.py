@@ -54,12 +54,13 @@ class FeedbackChannel:
 
     def pause(self, flow_id: Hashable) -> None:
         """Receive pause feedback for ``flow_id`` (applied after delay)."""
-        self.sim.schedule_in(self.delay, lambda: self._apply(flow_id, PAUSE))
+        self.sim.post(self.sim.now + self.delay,
+                      lambda: self._apply(flow_id, PAUSE))
 
     def resume(self, flow_id: Hashable) -> None:
         """Receive resume feedback for ``flow_id``."""
-        self.sim.schedule_in(self.delay,
-                             lambda: self._apply(flow_id, RESUME))
+        self.sim.post(self.sim.now + self.delay,
+                      lambda: self._apply(flow_id, RESUME))
 
     def _apply(self, flow_id: Hashable, kind: str) -> None:
         now = self.sim.now

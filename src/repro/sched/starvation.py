@@ -65,6 +65,6 @@ def install_aging_monitor(sim: Simulator, scheduler: PieoScheduler,
         for flow in starving_flows(scheduler, sim.now, threshold):
             scheduler.run_alarm(flow.flow_id, sim.now)
         if sim.now + period <= end_time:
-            sim.schedule_in(period, tick)
+            sim.post(sim.now + period, tick)
 
-    sim.schedule_in(period, tick)
+    sim.post(sim.now + period, tick)

@@ -15,6 +15,11 @@ request, the full retry-timer lifecycle (``timer_arm`` /
 arrival/departure counters, backlog gauges, the ``schedule()``-batch-size
 histogram, and the wall-clock latency of each ``schedule()`` call.
 
+Events: kicks and departure listeners are posted with
+:meth:`Simulator.post`, which allocates no handle; only the retry timer,
+the one event the engine may withdraw, goes through
+:meth:`Simulator.schedule` and keeps its :class:`EventHandle`.
+
 Fast path: when the run is completely unobserved (engine and simulator
 both on the null tracer/metrics), the engine *drains* — one timer
 callback transmits consecutive single-packet dequeues back to back,
@@ -23,7 +28,9 @@ scheduling one timer event per packet.  The drain falls back to the
 event-driven tail the moment any pending event would interleave, so the
 Recorder output (order, times, packet ids) is bit-identical to the
 unbatched path; only ``events_fired`` accounting is condensed (each
-successful advance still counts as one event).  Pass ``drain=False`` to
+successful advance still counts as one event).  On a simulator shared by
+several engines every advance is refused, so the engine skips the drain
+there and runs the event-driven loop directly.  Pass ``drain=False`` to
 force the reference loop, ``drain=True`` to force draining.
 """
 
@@ -134,7 +141,8 @@ class TransmitEngine:
             self._g_backlog_pkts.inc()
             self._g_backlog_bytes.inc(packet.size_bytes)
         self.scheduler.on_arrival(flow_id, packet, now)
-        self.kick()
+        if not self._kick_pending:
+            self.kick()
 
     def add_departure_listener(self, flow_id: Hashable,
                                callback: Callable[[], None]) -> None:
@@ -153,19 +161,24 @@ class TransmitEngine:
             self.tracer.kick(sim.now, at=at)
         if self._metered:
             self._c_kicks.inc()
-        sim.schedule(at, self._try_transmit)
+        sim.post(at, self._try_transmit)
 
     # ------------------------------------------------------------------
     # The scheduling loop
     # ------------------------------------------------------------------
     def _try_transmit(self) -> None:
         self._kick_pending = False
-        now = self.sim.now
-        if not self.link.is_idle(now):
+        sim = self.sim
+        now = sim.now
+        if now < self.link.busy_until:
             self.kick()
             return
-        self._cancel_retry(now)
-        if self.drain_enabled:
+        if self._retry_handle is not None:
+            self._cancel_retry(now)
+        # With a second clock consumer on the simulator every
+        # advance_to is refused, and the drain would only replay the
+        # event-driven loop below one frame deeper.
+        if self.drain_enabled and sim._clock_consumers == 1:
             self._drain(now)
             return
         if self._metered:
@@ -222,7 +235,7 @@ class TransmitEngine:
                 # listener first, then the re-kick, so pending events at
                 # earlier instants interleave identically.
                 if listener is not None:
-                    sim.schedule(finish, listener)
+                    sim.post(finish, listener)
                 self.kick()
                 return
             now = finish
@@ -239,14 +252,15 @@ class TransmitEngine:
         # survive a transmission: the batch itself re-kicks the loop, and
         # a stale wakeup would double-kick the scheduler (observable as a
         # spurious extra schedule() probe between batches).
-        self._cancel_retry(now)
+        if self._retry_handle is not None:
+            self._cancel_retry(now)
         start = now
         traced = self._traced
         metered = self._metered
         link_transmit = self.link.transmit
         record = self.recorder.record
         listeners = self.departure_listeners
-        sim_schedule = self.sim.schedule
+        sim_post = self.sim.post
         departure_hook = self.departure_hook
         for packet in packets:
             finish = link_transmit(packet, start)
@@ -266,7 +280,7 @@ class TransmitEngine:
                 self._g_backlog_bytes.dec(packet.size_bytes)
             listener = listeners.get(packet.flow_id)
             if listener is not None:
-                sim_schedule(finish, listener)
+                sim_post(finish, listener)
             start = finish
         if traced:
             self.tracer.link_idle(start)

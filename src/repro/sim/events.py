@@ -4,20 +4,38 @@ Time is a float (seconds).  Events scheduled for the same instant fire in
 scheduling order, which keeps runs fully deterministic.
 
 Pending events live in one :class:`HeapEventQueue`, a ``heapq`` binary
-heap of ``(time, seq, handle, callback)`` tuples, so same-instant events
-pop in scheduling order.  Cancellation is lazy: :meth:`EventHandle.cancel`
-marks the handle and the entry is discarded when it surfaces.  To keep
-the resident set bounded under heavy cancel churn (retry timers), the
-queue compacts — i.e. rebuilds without dead entries — once more than
-half its resident entries are cancelled (with a small absolute floor so
-tiny queues never bother).
+heap of :data:`EventEntry` tuples ``(time, seq, callback, handle)``, so
+same-instant events pop in scheduling order (``seq`` is unique, so the
+comparison never reaches the callback).  There are two ways in:
+
+* :meth:`Simulator.schedule` returns a cancellable :class:`EventHandle`,
+  which the entry carries in its last slot;
+* :meth:`Simulator.post` allocates no handle (the slot is ``None``), for
+  the callers that never cancel: every per-packet event (kicks,
+  departure listeners, generators, fabric hops).
+
+Both draw ``seq`` from one counter, so trace ids and the timer
+lifecycle events do not depend on which entry point armed an event.
+
+Cancellation is lazy: :meth:`EventHandle.cancel` marks the handle and
+the entry is discarded when it surfaces.  To keep the resident set
+bounded under heavy cancel churn (retry timers), the queue compacts —
+i.e. rebuilds without dead entries, in place — once more than half its
+resident entries are cancelled (with a small absolute floor so tiny
+queues never bother).
+
+Dispatch: an unobserved run (null tracer and metrics) pops the heap in
+:meth:`Simulator.run`/:meth:`Simulator.run_until` itself and calls each
+callback directly, with no per-event method frame.  An observed run goes
+through :meth:`Simulator.step`, which emits ``timer_fire`` and updates
+the gauges.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -25,8 +43,9 @@ from repro.obs.scope import NULL_METRICS, NULL_TRACER
 
 EventCallback = Callable[[], None]
 
-#: Queue entry: (time, seq, handle, callback).
-EventEntry = Tuple[float, int, "EventHandle", EventCallback]
+#: Queue entry: (time, seq, callback, handle); ``handle`` is None for an
+#: event posted with :meth:`Simulator.post`, which nobody can cancel.
+EventEntry = Tuple[float, int, EventCallback, Optional["EventHandle"]]
 
 #: Compaction triggers when cancelled entries exceed this count AND make
 #: up more than half of the resident set.
@@ -71,11 +90,13 @@ class EventHandle:
 class HeapEventQueue:
     """Pending events in one ``heapq`` binary heap.
 
-    Entries are ``(time, seq, handle, callback)`` tuples, so they pop in
-    ``(time, seq)`` order and same-instant events fire in scheduling
-    order.  Cancellation is lazy: the simulator calls :meth:`note_cancel`
-    when a resident entry's handle is cancelled, and the queue discards
-    dead entries when they surface or during :meth:`compact`.
+    Entries are :data:`EventEntry` tuples, so they pop in ``(time,
+    seq)`` order and same-instant events fire in scheduling order.
+    Cancellation is lazy: the simulator calls :meth:`note_cancel` when a
+    resident entry's handle is cancelled, and the queue discards dead
+    entries when they surface or during :meth:`compact`.  The heap list
+    is never replaced, so a dispatch loop may hold on to it across
+    callbacks that cancel.
     """
 
     __slots__ = ("_heap", "_cancelled")
@@ -84,15 +105,13 @@ class HeapEventQueue:
         self._heap: List[EventEntry] = []
         self._cancelled = 0
 
-    def push(self, entry: EventEntry) -> None:
-        heapq.heappush(self._heap, entry)
-
     def pop(self) -> Optional[EventEntry]:
         """Remove and return the next live entry, or None when empty."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
-            if entry[2].cancelled:
+            entry = heappop(heap)
+            handle = entry[3]
+            if handle is not None and handle.cancelled:
                 self._cancelled -= 1
                 continue
             return entry
@@ -101,10 +120,13 @@ class HeapEventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the next live entry, or None when empty."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+        while heap:
+            handle = heap[0][3]
+            if handle is None or not handle.cancelled:
+                return heap[0][0]
+            heappop(heap)
             self._cancelled -= 1
-        return heap[0][0] if heap else None
+        return None
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) resident entries."""
@@ -128,9 +150,11 @@ class HeapEventQueue:
             self.compact()
 
     def compact(self) -> None:
-        """Rebuild without cancelled entries."""
-        self._heap = [e for e in self._heap if not e[2].cancelled]
-        heapq.heapify(self._heap)
+        """Rebuild without cancelled entries, in place."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap
+                   if entry[3] is None or not entry[3].cancelled]
+        heapify(heap)
         self._cancelled = 0
 
 
@@ -158,6 +182,9 @@ class Simulator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._queue = HeapEventQueue()
+        # The queue's heap list, which compaction never replaces: the
+        # hot paths push and pop it without a method frame.
+        self._heap = self._queue._heap
         self._seq = itertools.count()
         self.events_fired = 0
         # Fast-forward window for Simulator.advance_to (set by run/
@@ -199,7 +226,8 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
     def schedule(self, time: float, callback: EventCallback) -> EventHandle:
-        """Run ``callback`` at absolute ``time`` (>= now)."""
+        """Run ``callback`` at absolute ``time`` (>= now); the returned
+        handle can cancel it."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}")
@@ -208,10 +236,26 @@ class Simulator:
                              sim=self)
         if self._traced:
             self.tracer.timer_arm(self.now, seq, deadline=time, scope="sim")
-        self._queue.push((time, seq, handle, callback))
+        heappush(self._heap, (time, seq, callback, handle))
         if self._metered:
             self._update_gauges()
         return handle
+
+    def post(self, time: float, callback: EventCallback) -> None:
+        """Run ``callback`` at absolute ``time`` (>= now); the event
+        cannot be cancelled.
+
+        Like :meth:`schedule` (same sequence numbers, same trace and
+        gauge updates) but allocates no handle."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at {time} before now={self.now}")
+        seq = next(self._seq)
+        if self._traced:
+            self.tracer.timer_arm(self.now, seq, deadline=time, scope="sim")
+        heappush(self._heap, (time, seq, callback, None))
+        if self._metered:
+            self._update_gauges()
 
     def schedule_in(self, delay: float,
                     callback: EventCallback) -> EventHandle:
@@ -229,8 +273,9 @@ class Simulator:
         entry = self._queue.pop()
         if entry is None:
             return False
-        time, seq, handle, callback = entry
-        handle.fired = True
+        time, seq, callback, handle = entry
+        if handle is not None:
+            handle.fired = True
         self.now = time
         self.events_fired += 1
         if self._traced:
@@ -286,24 +331,20 @@ class Simulator:
         """Fire events until the queue drains or ``end_time`` is reached.
 
         The clock is left at ``end_time`` (or at the last event if the
-        queue drained first and that is earlier).
+        queue drained first and that is earlier).  Raises
+        :class:`SimulationError` when ``max_events`` events have fired
+        and another is due by ``end_time``.
         """
         prev_horizon, prev_budget = self._horizon, self._budget
         self._horizon = end_time
         budget = (None if max_events is None
                   else self.events_fired + max_events)
         self._budget = budget
-        queue = self._queue
         try:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > end_time:
-                    break
-                if budget is not None and self.events_fired >= budget:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before "
-                        f"t={end_time}; likely a scheduling livelock")
-                self.step()
+            if not self._dispatch(end_time, budget):
+                raise SimulationError(
+                    f"exceeded max_events={max_events} before "
+                    f"t={end_time}; likely a scheduling livelock")
         finally:
             self._horizon, self._budget = prev_horizon, prev_budget
         if self.now < end_time:
@@ -321,15 +362,49 @@ class Simulator:
         budget = (None if max_events is None
                   else self.events_fired + max_events)
         self._budget = budget
-        queue = self._queue
         try:
-            while True:
-                if (budget is not None and self.events_fired >= budget
-                        and len(queue)):
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "likely a livelock")
-                if not self.step():
-                    break
+            if not self._dispatch(math.inf, budget):
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; "
+                    "likely a livelock")
         finally:
             self._horizon, self._budget = prev_horizon, prev_budget
+
+    def _dispatch(self, end_time: float, budget: Optional[int]) -> bool:
+        """Fire every event due at or before ``end_time``.
+
+        Returns False, leaving the next due event pending, once
+        ``events_fired`` reaches ``budget``.  An observed simulator
+        fires through :meth:`step`; an unobserved one pops the heap here
+        and calls each callback directly.
+        """
+        if budget is None:
+            budget = math.inf
+        if self._traced or self._metered:
+            queue = self._queue
+            while True:
+                next_time = queue.peek_time()
+                if next_time is None or next_time > end_time:
+                    return True
+                if self.events_fired >= budget:
+                    return False
+                self.step()
+        heap = self._heap
+        queue = self._queue
+        while heap:
+            time, _, callback, handle = heap[0]
+            if handle is not None and handle.cancelled:
+                heappop(heap)
+                queue._cancelled -= 1
+                continue
+            if time > end_time:
+                return True
+            if self.events_fired >= budget:
+                return False
+            heappop(heap)
+            if handle is not None:
+                handle.fired = True
+            self.now = time
+            self.events_fired += 1
+            callback()
+        return True

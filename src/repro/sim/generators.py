@@ -43,21 +43,21 @@ class PacketGenerator:
         self.packets_generated = 0
 
     def start(self, at: Optional[float] = None) -> None:
-        self.sim.schedule(self.sim.now if at is None else at, self._fire)
+        self.sim.post(self.sim.now if at is None else at, self._fire)
 
     def _fire(self) -> None:
-        if self.sim.now >= self.end_time:
+        """Emit one packet, then re-arm for the next arrival."""
+        sim = self.sim
+        now = sim.now
+        if now >= self.end_time:
             return
-        self._emit()
+        flow_id = self.flow_id
+        packet = Packet(flow_id, self.size_bytes, now)
+        self.packets_generated += 1
+        self.sink(flow_id, packet)
         delay = self.next_interarrival()
         if delay is not None:
-            self.sim.schedule_in(delay, self._fire)
-
-    def _emit(self) -> None:
-        packet = Packet(flow_id=self.flow_id, size_bytes=self.size_bytes,
-                        arrival_time=self.sim.now)
-        self.packets_generated += 1
-        self.sink(self.flow_id, packet)
+            sim.post(sim.now + delay, self._fire)
 
     def next_interarrival(self) -> Optional[float]:
         raise NotImplementedError
@@ -276,7 +276,7 @@ class BackloggedSource:
 
     def start(self, at: Optional[float] = None) -> None:
         start_time = self.sim.now if at is None else at
-        self.sim.schedule(start_time, self._prime)
+        self.sim.post(start_time, self._prime)
 
     def _prime(self) -> None:
         for _ in range(self.depth):

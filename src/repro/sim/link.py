@@ -46,7 +46,7 @@ class Link:
             raise RuntimeError(
                 f"link busy until {self.busy_until}, cannot transmit at "
                 f"{now}")
-        duration = packet.size_bits / self.rate_bps
+        duration = packet.size_bytes * 8 / self.rate_bps
         finish = now + duration
         self.busy_until = finish
         self.bytes_sent += packet.size_bytes

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
 #: Standard Ethernet MTU payload size used throughout the evaluation
@@ -24,7 +24,7 @@ def reset_packet_ids(start: int = 0) -> None:
     _packet_ids = itertools.count(start)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """One packet resident in a flow queue.
 
@@ -42,7 +42,8 @@ class Packet:
     eligible_time: float = 0.0
     rank: float = 0.0
     send_time: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    #: Drawn from the global packet-id counter when none is given.
+    packet_id: Optional[int] = None
     #: Filled in by the transmit engine.
     departure_time: Optional[float] = None
     #: Destination endpoint for routed (multi-switch) traffic; None for
@@ -58,10 +59,34 @@ class Packet:
     #: fabric records provenance; None when disabled (saves the list).
     path: Optional[List[Hashable]] = None
 
+    # Hand-written rather than generated: one frame per packet (the
+    # generated __init__ calls a default-factory lambda and
+    # __post_init__).  The id is drawn before the size check, as the
+    # generated one did.
+    def __init__(self, flow_id: Hashable, size_bytes: int = MTU_BYTES,
+                 arrival_time: float = 0.0, eligible_time: float = 0.0,
+                 rank: float = 0.0, send_time: float = 0.0,
+                 packet_id: Optional[int] = None,
+                 departure_time: Optional[float] = None,
+                 dst: Optional[Hashable] = None, ttl: int = 0,
+                 hops: int = 0,
+                 path: Optional[List[Hashable]] = None) -> None:
+        self.flow_id = flow_id
+        self.size_bytes = size_bytes
+        self.arrival_time = arrival_time
+        self.eligible_time = eligible_time
+        self.rank = rank
+        self.send_time = send_time
+        self.packet_id = (next(_packet_ids) if packet_id is None
+                          else packet_id)
+        self.departure_time = departure_time
+        self.dst = dst
+        self.ttl = ttl
+        self.hops = hops
+        self.path = path
+        if size_bytes <= 0:
+            raise ValueError("packet size must be positive")
+
     @property
     def size_bits(self) -> int:
         return self.size_bytes * 8
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("packet size must be positive")

@@ -35,8 +35,10 @@ class Recorder:
 
     def record(self, time: float, flow_id: Hashable, size_bytes: int,
                packet_id: int) -> None:
-        self.departures.append(
-            Departure(time, flow_id, size_bytes, packet_id))
+        # tuple.__new__ builds the named tuple without the Python frame
+        # of its generated constructor.
+        self.departures.append(tuple.__new__(
+            Departure, (time, flow_id, size_bytes, packet_id)))
 
     # -- basic views ------------------------------------------------------
     def __len__(self) -> int:

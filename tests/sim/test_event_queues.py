@@ -12,7 +12,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.sim.events import COMPACT_MIN_CANCELLED, Simulator
 
 
@@ -204,3 +204,190 @@ def test_tiny_queues_skip_compaction():
     assert sim.cancelled_events == COMPACT_MIN_CANCELLED
     assert sim.pending_events == 0
     assert sim._queue.resident == COMPACT_MIN_CANCELLED
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: both entry points, both dispatch paths, timer lifecycle
+# ----------------------------------------------------------------------
+_MIXED_COMMANDS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _DELAYS),
+        st.tuples(st.just("post"), _DELAYS),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("advance"), _DELAYS),
+    ),
+    max_size=80)
+
+
+class _MixedOracle(_Oracle):
+    """The oracle with handle-free rows.  Only rows armed by
+    ``schedule`` can be cancelled; a chained row inherits its parent's
+    entry point.  ``fired_seqs`` lists the rows fired, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.cancellable = []  # per row
+        self.handles = []  # indices of cancellable rows
+        self.fired_seqs = []
+
+    def arm(self, time, label, chain_delay, cancellable):
+        if cancellable:
+            self.handles.append(len(self.rows))
+        self.cancellable.append(cancellable)
+        self.schedule(time, label, chain_delay)
+
+    def cancel(self, value):
+        if self.handles:
+            self.rows[self.handles[value % len(self.handles)]][4] = False
+
+    def run_until(self, end_time, labels):
+        while True:
+            row = self._next()
+            if row is None or (end_time is not None
+                               and row[0] > end_time):
+                break
+            row[4] = False
+            self.now = row[0]
+            self.fired += 1
+            self.log.append((row[2], self.now))
+            self.fired_seqs.append(row[1])
+            if row[3] is not None:
+                self.arm(self.now + row[3], next(labels), None,
+                         self.cancellable[row[1]])
+        if end_time is not None and self.now < end_time:
+            self.now = end_time
+
+
+def _simulate_mixed(commands, tracer=None):
+    """Run a program of cancellable (``schedule``) and handle-free
+    (``post``) events through a Simulator.  Returns (firing log, final
+    now, events fired), the seqs still pending before the final drain,
+    and how many trace events ``tracer`` held then."""
+    sim = Simulator(tracer=tracer)
+    log = []
+    handles = []
+    labels = itertools.count()
+
+    def arm(cancellable, time, callback):
+        if cancellable:
+            handles.append(sim.schedule(time, callback))
+        else:
+            assert sim.post(time, callback) is None
+
+    def fire(label, chain_delay, cancellable):
+        log.append((label, sim.now))
+        if chain_delay is not None:
+            chained = next(labels)
+            arm(cancellable, sim.now + chain_delay,
+                lambda: log.append((chained, sim.now)))
+
+    for kind, value in commands:
+        if kind in ("schedule", "post"):
+            label = next(labels)
+            cancellable = kind == "schedule"
+            arm(cancellable, sim.now + value,
+                lambda l=label, d=_chain_delay(label, value),
+                c=cancellable: fire(l, d, c))
+        elif kind == "cancel":
+            if handles:
+                handles[value % len(handles)].cancel()
+        else:  # advance
+            sim.run_until(sim.now + value)
+    pending = {entry[1] for entry in sim._queue._heap
+               if entry[3] is None or not entry[3].cancelled}
+    traced_before_drain = len(tracer.events) if tracer is not None else 0
+    sim.run()
+    return (log, sim.now, sim.events_fired), pending, traced_before_drain
+
+
+def _oracle_mixed(commands):
+    """The same program through :class:`_MixedOracle`."""
+    oracle = _MixedOracle()
+    labels = itertools.count()
+    for kind, value in commands:
+        if kind in ("schedule", "post"):
+            label = next(labels)
+            oracle.arm(oracle.now + value, label,
+                       _chain_delay(label, value), kind == "schedule")
+        elif kind == "cancel":
+            oracle.cancel(value)
+        else:  # advance
+            oracle.run_until(oracle.now + value, labels)
+    armed_before_drain = len(oracle.rows)
+    oracle.run_until(None, labels)
+    return ((oracle.log, oracle.now, oracle.fired), oracle.fired_seqs,
+            armed_before_drain)
+
+
+def _timer_outcomes(events):
+    """Armed timer ids, and the fire/cancel events seen per id."""
+    arms, outcomes = [], {}
+    for event in events:
+        if event.kind == "timer_arm":
+            arms.append(event.fields["id"])
+        elif event.kind in ("timer_fire", "timer_cancel"):
+            outcomes.setdefault(event.fields["id"], []).append(event.kind)
+    return arms, outcomes
+
+
+@given(commands=_MIXED_COMMANDS)
+@settings(max_examples=100, deadline=None)
+def test_mixed_entry_points_match_brute_force_oracle(commands):
+    """Unobserved (inline dispatch) and traced (``step``) simulators
+    fire the same events in the oracle's ``(time, seq)`` order, and the
+    trace accounts for every timer exactly once."""
+    expected, fired_seqs, armed_before_drain = _oracle_mixed(commands)
+    assert _simulate_mixed(commands)[0] == expected
+
+    tracer = Tracer()
+    result, pending, traced_before_drain = _simulate_mixed(commands,
+                                                           tracer)
+    assert result == expected
+    assert [event.fields["id"] for event in tracer.events
+            if event.kind == "timer_fire"] == fired_seqs
+    # Before the final drain: one fire or cancel per armed timer, or
+    # neither while it is still pending.
+    arms, outcomes = _timer_outcomes(tracer.events[:traced_before_drain])
+    assert arms == list(range(armed_before_drain))
+    for timer_id in arms:
+        expected_count = 0 if timer_id in pending else 1
+        assert len(outcomes.get(timer_id, [])) == expected_count
+    # After it: exactly one each.
+    arms, outcomes = _timer_outcomes(tracer.events)
+    assert arms == list(range(len(arms)))
+    for timer_id in arms:
+        assert len(outcomes[timer_id]) == 1
+
+
+def test_compaction_under_churn_with_handle_free_events():
+    """Compaction inside a running dispatch loop: each callback posts
+    its successor and arms and cancels a few retry-style timers, so the
+    queue compacts while the loop holds the heap.  Every posted event
+    still fires in order, no cancelled one fires, and the resident set
+    keeps the same bound as the schedule-only soak above."""
+    sim = Simulator()
+    fired = []
+    peak_resident = 0
+
+    def dead():
+        raise AssertionError("a cancelled event fired")
+
+    def step(index):
+        nonlocal peak_resident
+        fired.append(index)
+        for _ in range(3):
+            sim.schedule(sim.now + 1.0, dead).cancel()
+        peak_resident = max(peak_resident, sim._queue.resident)
+        if index < 2_000:
+            sim.post(sim.now + 1e-6, lambda: step(index + 1))
+
+    sim.post(0.0, lambda: step(0))
+    sim.post(1.0, lambda: fired.append("keeper"))
+    sim.run_until(0.5)
+    bound = 2 * COMPACT_MIN_CANCELLED + 8
+    assert fired == list(range(2_001))
+    assert peak_resident <= bound
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired[-1] == "keeper"
+    assert sim.pending_events == sim.cancelled_events == 0
