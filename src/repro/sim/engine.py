@@ -288,13 +288,13 @@ class TransmitEngine:
         self.kick()
 
     def _cancel_retry(self, now: float) -> None:
-        if self._retry_handle is not None:
-            self._retry_handle.cancel()
-            if self._traced:
-                self.tracer.timer_cancel(now, self._retry_timer_id,
-                                         scope="engine.retry")
-            self._retry_handle = None
-            self._retry_timer_id = None
+        """Withdraw the armed retry timer (callers check it exists)."""
+        self._retry_handle.cancel()
+        if self._traced:
+            self.tracer.timer_cancel(now, self._retry_timer_id,
+                                     scope="engine.retry")
+        self._retry_handle = None
+        self._retry_timer_id = None
 
     def _arm_retry(self, now: float) -> None:
         """Nothing eligible: wake at the next eligibility instant."""
