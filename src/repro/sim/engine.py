@@ -175,10 +175,9 @@ class TransmitEngine:
             return
         if self._retry_handle is not None:
             self._cancel_retry(now)
-        # With a second clock consumer on the simulator every
-        # advance_to is refused, and the drain would only replay the
-        # event-driven loop below one frame deeper.
-        if self.drain_enabled and sim._clock_consumers == 1:
+        # On a shared clock every advance_to is refused, and the drain
+        # would only replay the event-driven loop below one frame deeper.
+        if self.drain_enabled and not sim.clock_shared:
             self._drain(now)
             return
         if self._metered:

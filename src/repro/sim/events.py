@@ -24,11 +24,11 @@ i.e. rebuilds without dead entries, in place — once more than half its
 resident entries are cancelled (with a small absolute floor so tiny
 queues never bother).
 
-Dispatch: an unobserved run (null tracer and metrics) pops the heap in
-:meth:`Simulator.run`/:meth:`Simulator.run_until` itself and calls each
-callback directly, with no per-event method frame.  An observed run goes
-through :meth:`Simulator.step`, which emits ``timer_fire`` and updates
-the gauges.
+Dispatch: :meth:`Simulator.run`/:meth:`Simulator.run_until` pop the
+heap in one loop of their own and call each callback directly, with no
+per-event method frame; on an observed simulator the loop emits
+``timer_fire`` and updates the gauges exactly as :meth:`Simulator.step`
+(the public single-step call) does.
 """
 
 from __future__ import annotations
@@ -196,6 +196,10 @@ class Simulator:
         # with two engines, one engine's jump would skip past the
         # other's in-flight transmissions.
         self._clock_consumers = 0
+        #: True once more than one clock consumer is registered: every
+        #: :meth:`advance_to` is then refused, so consumers can skip
+        #: their fast-forward paths without asking.
+        self.clock_shared = False
         self._traced = self.tracer is not NULL_TRACER
         self._metered = self.metrics is not NULL_METRICS
         if self._metered:
@@ -289,11 +293,13 @@ class Simulator:
         """Declare a component that may call :meth:`advance_to`.
 
         Transmit engines register themselves at construction.  While
-        more than one consumer is registered, every :meth:`advance_to`
-        is refused and callers fall back to their event-driven paths,
-        which serialize correctly through the shared queue.
+        more than one consumer is registered, :attr:`clock_shared` is
+        True and every :meth:`advance_to` is refused: callers fall back
+        to their event-driven paths, which serialize correctly through
+        the shared queue.
         """
         self._clock_consumers += 1
+        self.clock_shared = self._clock_consumers > 1
 
     def advance_to(self, time: float) -> bool:
         """Fast-forward the clock to ``time`` from inside a callback.
@@ -311,7 +317,7 @@ class Simulator:
         the timer event it replaces, so livelock guards keep their
         meaning.
         """
-        if self._clock_consumers > 1:
+        if self.clock_shared:
             return False
         horizon = self._horizon
         if horizon is None or time > horizon or time < self.now:
@@ -374,25 +380,19 @@ class Simulator:
         """Fire every event due at or before ``end_time``.
 
         Returns False, leaving the next due event pending, once
-        ``events_fired`` reaches ``budget``.  An observed simulator
-        fires through :meth:`step`; an unobserved one pops the heap here
-        and calls each callback directly.
+        ``events_fired`` reaches ``budget``.  Pops the heap here and
+        calls each callback directly, doing exactly what :meth:`step`
+        does per event (``timer_fire`` when traced, gauges when metered)
+        without its frame.
         """
         if budget is None:
             budget = math.inf
-        if self._traced or self._metered:
-            queue = self._queue
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > end_time:
-                    return True
-                if self.events_fired >= budget:
-                    return False
-                self.step()
         heap = self._heap
         queue = self._queue
+        traced = self._traced
+        metered = self._metered
         while heap:
-            time, _, callback, handle = heap[0]
+            time, seq, callback, handle = heap[0]
             if handle is not None and handle.cancelled:
                 heappop(heap)
                 queue._cancelled -= 1
@@ -406,5 +406,9 @@ class Simulator:
                 handle.fired = True
             self.now = time
             self.events_fired += 1
+            if traced:
+                self.tracer.timer_fire(time, seq, scope="sim")
+            if metered:
+                self._update_gauges()
             callback()
         return True

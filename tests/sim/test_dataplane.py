@@ -304,6 +304,66 @@ def test_two_engine_output_identical_drain_on_and_off():
     assert run(drain=True) == run(drain=False)
 
 
+def test_second_clock_consumer_sets_clock_shared():
+    sim = Simulator()
+    assert not sim.clock_shared
+    sim.register_clock_consumer()
+    assert not sim.clock_shared
+    sim.register_clock_consumer()
+    assert sim.clock_shared
+    assert _two_port_dataplane()[0].clock_shared
+
+
+def test_two_engines_on_shared_clock_never_enter_drain(monkeypatch):
+    def refuse(self, now):
+        raise AssertionError("drain entered on a shared clock")
+
+    monkeypatch.setattr(TransmitEngine, "_drain", refuse)
+    reset_packet_ids()
+    sim, dataplane = _two_port_dataplane(drain=True)
+    for flow_id in ("a", "b"):
+        CbrGenerator(sim, flow_id, dataplane.arrival_sink,
+                     rate_bps=gbps(8), end_time=0.001).start(0.0)
+    sim.run_until(0.001)
+    assert dataplane.departures() > 0
+
+
+def test_single_engine_drain_refused_tail_matches_event_loop():
+    """Two CBR sources whose arrivals land inside transmissions: the
+    drain both advances and falls back to its event-driven tail, and
+    its departures equal the reference loop's."""
+    def run(drain):
+        reset_packet_ids()
+        sim = Simulator()
+        scheduler = PieoScheduler(DeficitRoundRobin(),
+                                  link_rate_bps=gbps(10))
+        for flow_id in ("a", "b"):
+            scheduler.add_flow(FlowQueue(flow_id))
+        engine = TransmitEngine(sim, scheduler, Link(gbps(10)),
+                                drain=drain)
+        outcomes = []
+        advance_to = sim.advance_to
+
+        def counted(time):
+            outcomes.append(advance_to(time))
+            return outcomes[-1]
+
+        sim.advance_to = counted
+        CbrGenerator(sim, "a", engine.arrival_sink,
+                     rate_bps=gbps(6), end_time=0.001).start(0.0)
+        CbrGenerator(sim, "b", engine.arrival_sink, rate_bps=gbps(7),
+                     size_bytes=700, end_time=0.001).start(0.0)
+        sim.run_until(0.002)
+        return engine.recorder.departures, outcomes
+
+    drained, outcomes = run(drain=True)
+    assert True in outcomes and False in outcomes
+    reference, no_advances = run(drain=False)
+    assert no_advances == []
+    assert drained == reference
+    assert len(reference) > 100
+
+
 # ----------------------------------------------------------------------
 # Engine admission hook ordering
 # ----------------------------------------------------------------------
