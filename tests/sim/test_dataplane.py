@@ -329,9 +329,10 @@ def test_two_engines_on_shared_clock_never_enter_drain(monkeypatch):
 
 
 def test_single_engine_drain_refused_tail_matches_event_loop():
-    """Two CBR sources whose arrivals land inside transmissions: the
-    drain both advances and falls back to its event-driven tail, and
-    its departures equal the reference loop's."""
+    """A backlogged engine plus an unrelated ticker event every 5 us:
+    the drain both advances and, whenever the ticker falls inside a
+    transmission, hands over to its event-driven tail.  Its departures,
+    and what the ticker sees of them, equal the reference loop's."""
     def run(drain):
         reset_packet_ids()
         sim = Simulator()
@@ -341,6 +342,18 @@ def test_single_engine_drain_refused_tail_matches_event_loop():
             scheduler.add_flow(FlowQueue(flow_id))
         engine = TransmitEngine(sim, scheduler, Link(gbps(10)),
                                 drain=drain)
+        for index in range(60):
+            engine.arrival_sink("a", Packet("a"))
+            engine.arrival_sink("b", Packet("b", size_bytes=700))
+
+        seen = []
+
+        def tick():
+            seen.append((sim.now, len(engine.recorder.departures)))
+            if sim.now < 100e-6:
+                sim.post(sim.now + 5e-6, tick)
+
+        sim.post(2.5e-6, tick)
         outcomes = []
         advance_to = sim.advance_to
 
@@ -349,19 +362,16 @@ def test_single_engine_drain_refused_tail_matches_event_loop():
             return outcomes[-1]
 
         sim.advance_to = counted
-        CbrGenerator(sim, "a", engine.arrival_sink,
-                     rate_bps=gbps(6), end_time=0.001).start(0.0)
-        CbrGenerator(sim, "b", engine.arrival_sink, rate_bps=gbps(7),
-                     size_bytes=700, end_time=0.001).start(0.0)
-        sim.run_until(0.002)
-        return engine.recorder.departures, outcomes
+        sim.run_until(0.001)
+        return engine.recorder.departures, seen, outcomes
 
-    drained, outcomes = run(drain=True)
+    drained, drained_seen, outcomes = run(drain=True)
     assert True in outcomes and False in outcomes
-    reference, no_advances = run(drain=False)
+    reference, reference_seen, no_advances = run(drain=False)
     assert no_advances == []
     assert drained == reference
-    assert len(reference) > 100
+    assert drained_seen == reference_seen
+    assert len(reference) == 120
 
 
 # ----------------------------------------------------------------------
