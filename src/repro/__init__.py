@@ -21,48 +21,29 @@ semantic oracle or the cycle-accurate hardware model — see
 :mod:`repro.core.backends`.
 """
 
-from repro.core import (ALWAYS_ELIGIBLE, NEVER_ELIGIBLE, DEFAULT_BACKEND,
-                        BackendSpec, Element, FastPieo, Instrumentation,
-                        NullInstrumentation, NULL_INSTRUMENTATION, OpCounters,
-                        OrderedList, PieoHardwareList, PieoList,
-                        PifoDesignPieoList, PifoHardwareList, ReferencePieo,
-                        available_backends, get_backend, make_factory,
-                        make_list, register_backend, unregister_backend)
-from repro.errors import (CapacityError, ConfigurationError,
-                          DuplicateFlowError, InvariantViolation, ReproError,
-                          SimulationError, UnknownFlowError)
+from repro._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALWAYS_ELIGIBLE",
-    "NEVER_ELIGIBLE",
-    "Element",
-    "OpCounters",
-    "Instrumentation",
-    "NullInstrumentation",
-    "NULL_INSTRUMENTATION",
-    "OrderedList",
-    "PieoHardwareList",
-    "PieoList",
-    "PifoDesignPieoList",
-    "PifoHardwareList",
-    "ReferencePieo",
-    "FastPieo",
-    "BackendSpec",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "get_backend",
-    "make_factory",
-    "make_list",
-    "register_backend",
-    "unregister_backend",
-    "CapacityError",
-    "ConfigurationError",
-    "DuplicateFlowError",
-    "InvariantViolation",
-    "ReproError",
-    "SimulationError",
-    "UnknownFlowError",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.core.backends": ("BackendSpec", "DEFAULT_BACKEND",
+                            "available_backends", "get_backend",
+                            "make_factory", "make_list",
+                            "register_backend", "unregister_backend"),
+    "repro.core.element": ("ALWAYS_ELIGIBLE", "NEVER_ELIGIBLE", "Element"),
+    "repro.core.fastlist": ("FastPieo",),
+    "repro.core.instrumentation": ("Instrumentation", "NullInstrumentation",
+                                   "NULL_INSTRUMENTATION"),
+    "repro.core.interfaces": ("OrderedList", "PieoList"),
+    "repro.core.opstats": ("OpCounters",),
+    "repro.core.pieo.hardware_list": ("PieoHardwareList",),
+    "repro.core.pifo.flipflop_list": ("PifoDesignPieoList",
+                                      "PifoHardwareList"),
+    "repro.core.reference": ("ReferencePieo",),
+    "repro.errors": ("CapacityError", "ConfigurationError",
+                     "DuplicateFlowError", "InvariantViolation",
+                     "ReproError", "SimulationError", "UnknownFlowError"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
+__all__.append("__version__")

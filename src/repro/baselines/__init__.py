@@ -1,25 +1,16 @@
 """Baseline schedulers and datastructures the paper compares against."""
 
-from repro.baselines.approximate import (CalendarQueue, MultiPriorityFifo,
-                                         TimingWheel)
-from repro.baselines.fifo import FifoScheduler
-from repro.baselines.pheap import PHeap
-from repro.baselines.pifo_scheduler import PifoShapingScheduler
-from repro.baselines.pifo_wf2q import (HeadPacket, ideal_wf2q_order,
-                                       order_deviation, paper_example,
-                                       single_pifo_order, two_pifo_order)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CalendarQueue",
-    "MultiPriorityFifo",
-    "TimingWheel",
-    "FifoScheduler",
-    "PHeap",
-    "PifoShapingScheduler",
-    "HeadPacket",
-    "ideal_wf2q_order",
-    "order_deviation",
-    "paper_example",
-    "single_pifo_order",
-    "two_pifo_order",
-]
+_EXPORTS = {
+    "repro.baselines.approximate": ("CalendarQueue", "MultiPriorityFifo",
+                                    "TimingWheel"),
+    "repro.baselines.fifo": ("FifoScheduler",),
+    "repro.baselines.pheap": ("PHeap",),
+    "repro.baselines.pifo_scheduler": ("PifoShapingScheduler",),
+    "repro.baselines.pifo_wf2q": ("HeadPacket", "ideal_wf2q_order",
+                                  "order_deviation", "paper_example",
+                                  "single_pifo_order", "two_pifo_order"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -13,28 +13,16 @@ The submodules are imported lazily by the CLI; importing
 load without dragging in the experiment stack.
 """
 
-from repro.bench.results import (SCHEMA_VERSION, BenchFormatError,
-                                 bench_filename, bench_path, git_commit,
-                                 load_bench, make_metric,
-                                 make_provenance, make_result,
-                                 provenance_header, read_table_text,
-                                 strip_provenance, validate_result,
-                                 write_bench, write_table_text)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "BenchFormatError",
-    "bench_filename",
-    "bench_path",
-    "git_commit",
-    "load_bench",
-    "make_metric",
-    "make_provenance",
-    "make_result",
-    "provenance_header",
-    "read_table_text",
-    "strip_provenance",
-    "validate_result",
-    "write_bench",
-    "write_table_text",
-]
+_EXPORTS = {
+    "repro.bench.results": ("SCHEMA_VERSION", "BenchFormatError",
+                            "bench_filename", "bench_path", "git_commit",
+                            "load_bench", "make_metric",
+                            "make_provenance", "make_result",
+                            "provenance_header", "read_table_text",
+                            "strip_provenance", "validate_result",
+                            "write_bench", "write_table_text"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -24,37 +24,20 @@ the applicable checker set per algorithm comes from the
 entry.
 """
 
-from repro.conformance.checkers import (CHECKERS, ConformanceRun,
-                                        Violation, run_checker)
-from repro.conformance.metamorphic import (TRANSFORMS, apply_transform,
-                                           metamorphic_verdicts)
-from repro.conformance.oracle import (GpsResult, gps_finish_times,
-                                      token_bucket_violations)
-from repro.conformance.runner import (CheckOutcome, ConformanceReport,
-                                      check_algorithm, check_trace,
-                                      run_scenario, sweep_registry)
-from repro.conformance.scenarios import (SCENARIOS, FlowSpec, Scenario,
-                                         make_scenario)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CHECKERS",
-    "CheckOutcome",
-    "ConformanceReport",
-    "ConformanceRun",
-    "FlowSpec",
-    "GpsResult",
-    "SCENARIOS",
-    "Scenario",
-    "TRANSFORMS",
-    "Violation",
-    "apply_transform",
-    "check_algorithm",
-    "check_trace",
-    "gps_finish_times",
-    "make_scenario",
-    "metamorphic_verdicts",
-    "run_checker",
-    "run_scenario",
-    "sweep_registry",
-    "token_bucket_violations",
-]
+_EXPORTS = {
+    "repro.conformance.checkers": ("CHECKERS", "ConformanceRun",
+                                   "Violation", "run_checker"),
+    "repro.conformance.metamorphic": ("TRANSFORMS", "apply_transform",
+                                      "metamorphic_verdicts"),
+    "repro.conformance.oracle": ("GpsResult", "gps_finish_times",
+                                 "token_bucket_violations"),
+    "repro.conformance.runner": ("CheckOutcome", "ConformanceReport",
+                                 "check_algorithm", "check_trace",
+                                 "run_scenario", "sweep_registry"),
+    "repro.conformance.scenarios": ("SCENARIOS", "FlowSpec", "Scenario",
+                                    "make_scenario"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -1,47 +1,26 @@
 """Core scheduling primitives: elements, predicates, PIEO, PIFO, and the
 ordered-list backend registry."""
 
-from repro.core.backends import (DEFAULT_BACKEND, BackendSpec,
-                                 available_backends, get_backend, make_factory,
-                                 make_list, register_backend,
-                                 unregister_backend)
-from repro.core.element import (ALWAYS_ELIGIBLE, NEVER_ELIGIBLE, Element,
-                                Rank, Time)
-from repro.core.fastlist import FastPieo
-from repro.core.instrumentation import (NULL_INSTRUMENTATION, Instrumentation,
-                                        NullInstrumentation)
-from repro.core.interfaces import OrderedList, PieoList
-from repro.core.opstats import OpCounters
-from repro.core.pieo import CYCLES_PER_OP, PieoHardwareList
-from repro.core.pifo import (PIFO_CYCLES_PER_OP, PifoDesignPieoList,
-                             PifoHardwareList)
-from repro.core.reference import ReferencePieo
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ALWAYS_ELIGIBLE",
-    "NEVER_ELIGIBLE",
-    "Element",
-    "Rank",
-    "Time",
-    "OrderedList",
-    "PieoList",
-    "OpCounters",
-    "Instrumentation",
-    "NullInstrumentation",
-    "NULL_INSTRUMENTATION",
-    "CYCLES_PER_OP",
-    "PieoHardwareList",
-    "PIFO_CYCLES_PER_OP",
-    "PifoDesignPieoList",
-    "PifoHardwareList",
-    "ReferencePieo",
-    "FastPieo",
-    "BackendSpec",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "get_backend",
-    "make_factory",
-    "make_list",
-    "register_backend",
-    "unregister_backend",
-]
+_EXPORTS = {
+    "repro.core.backends": ("DEFAULT_BACKEND", "BackendSpec",
+                            "available_backends", "get_backend",
+                            "make_factory", "make_list",
+                            "register_backend", "unregister_backend"),
+    "repro.core.element": ("ALWAYS_ELIGIBLE", "NEVER_ELIGIBLE", "Element",
+                           "Rank", "Time"),
+    "repro.core.fastlist": ("FastPieo",),
+    "repro.core.instrumentation": ("NULL_INSTRUMENTATION",
+                                   "Instrumentation",
+                                   "NullInstrumentation"),
+    "repro.core.interfaces": ("OrderedList", "PieoList"),
+    "repro.core.opstats": ("OpCounters",),
+    "repro.core.pieo.hardware_list": ("CYCLES_PER_OP", "PieoHardwareList"),
+    "repro.core.pifo.flipflop_list": ("PIFO_CYCLES_PER_OP",
+                                      "PifoDesignPieoList",
+                                      "PifoHardwareList"),
+    "repro.core.reference": ("ReferencePieo",),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

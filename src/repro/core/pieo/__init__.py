@@ -1,17 +1,13 @@
 """Cycle-accurate model of the PIEO hardware design (Section 5)."""
 
-from repro.core.pieo.hardware_list import (CYCLES_PER_OP, OpTrace,
-                                           PieoHardwareList,
-                                           default_sublist_size)
-from repro.core.pieo.structures import (OrderedSublistArray, PointerEntry,
-                                        Sublist)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "CYCLES_PER_OP",
-    "OpTrace",
-    "PieoHardwareList",
-    "default_sublist_size",
-    "OrderedSublistArray",
-    "PointerEntry",
-    "Sublist",
-]
+_EXPORTS = {
+    "repro.core.pieo.hardware_list": ("CYCLES_PER_OP", "OpTrace",
+                                      "PieoHardwareList",
+                                      "default_sublist_size"),
+    "repro.core.pieo.structures": ("OrderedSublistArray", "PointerEntry",
+                                   "Sublist"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

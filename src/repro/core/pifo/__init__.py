@@ -1,11 +1,11 @@
 """Cycle-accurate model of the PIFO baseline and its PIEO-capable variant."""
 
-from repro.core.pifo.flipflop_list import (PIFO_CYCLES_PER_OP,
-                                           PifoDesignPieoList,
-                                           PifoHardwareList)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "PIFO_CYCLES_PER_OP",
-    "PifoDesignPieoList",
-    "PifoHardwareList",
-]
+_EXPORTS = {
+    "repro.core.pifo.flipflop_list": ("PIFO_CYCLES_PER_OP",
+                                      "PifoDesignPieoList",
+                                      "PifoHardwareList"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

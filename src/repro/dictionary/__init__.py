@@ -1,5 +1,9 @@
 """PIEO as an abstract dictionary data type (Section 8)."""
 
-from repro.dictionary.pieo_dict import PieoDict
+from repro._lazy import lazy_namespace
 
-__all__ = ["PieoDict"]
+_EXPORTS = {
+    "repro.dictionary.pieo_dict": ("PieoDict",),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -310,7 +310,7 @@ def main(argv) -> int:
         metrics = MetricsRegistry()
     heartbeat = None
     if args.heartbeat:
-        from repro.obs.runtime import SweepHeartbeat
+        from repro.obs.heartbeat import SweepHeartbeat
         heartbeat = SweepHeartbeat(tracer=tracer)
     profiler = None
     if args.profile_runtime is not None:

@@ -26,7 +26,7 @@ from repro.experiments.runner import Table, point_seed, run_sweep
 from repro.net.fabric import Fabric
 from repro.net.topology import Topology
 from repro.obs import Tracer
-from repro.obs.runtime import NULL_HEARTBEAT
+from repro.obs.heartbeat import NULL_HEARTBEAT
 from repro.sim.generators import CbrGenerator
 from repro.sim.link import gbps
 from repro.sim.packet import MTU_BYTES, reset_packet_ids

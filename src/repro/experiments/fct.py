@@ -34,7 +34,7 @@ from repro.net.fabric import Fabric
 from repro.net.topology import leaf_spine
 from repro.net.workload import OpenLoopWorkload, make_size_sampler
 from repro.obs import Tracer
-from repro.obs.runtime import NULL_HEARTBEAT
+from repro.obs.heartbeat import NULL_HEARTBEAT
 from repro.sim.packet import reset_packet_ids
 
 #: Offered loads (fraction of host uplink capacity) to sweep.

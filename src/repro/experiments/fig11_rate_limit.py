@@ -23,7 +23,7 @@ from repro.experiments.hier_common import (NUM_NODES, default_node_rates,
                                            run_hierarchy)
 from repro.experiments.runner import Table, point_seed, run_sweep
 from repro.obs import Tracer
-from repro.obs.runtime import NULL_HEARTBEAT
+from repro.obs.heartbeat import NULL_HEARTBEAT
 from repro.sim.packet import reset_packet_ids
 
 #: Sampled node index (deterministic stand-in for the paper's "random").
@@ -73,7 +73,7 @@ def rate_limit_table(sweep_gbps: Sequence[float] = DEFAULT_SWEEP_GBPS,
     ``jobs`` shards sweep points over processes and leaves every result
     byte-identical.  (``metrics`` aggregation is in-process, so a
     metrics-observed sweep always runs sequentially.)  ``heartbeat``
-    (:class:`repro.obs.runtime.SweepHeartbeat`) reports sweep liveness
+    (:class:`repro.obs.heartbeat.SweepHeartbeat`) reports sweep liveness
     on stderr/trace without touching results.
     """
     table = Table(

@@ -24,7 +24,7 @@ from repro.experiments.hier_common import (FLOWS_PER_NODE,
                                            run_hierarchy)
 from repro.experiments.runner import Table, point_seed, run_sweep
 from repro.obs import Tracer
-from repro.obs.runtime import NULL_HEARTBEAT
+from repro.obs.heartbeat import NULL_HEARTBEAT
 from repro.sim.packet import reset_packet_ids
 
 DEFAULT_SWEEP_GBPS = (0.5, 1.0, 2.0, 4.0, 8.0)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.experiments.runner import Table, point_seed, run_sweep
 from repro.obs import Tracer
-from repro.obs.runtime import NULL_HEARTBEAT
+from repro.obs.heartbeat import NULL_HEARTBEAT
 from repro.sched.framework import PieoScheduler
 from repro.sched.registry import make_algorithm
 from repro.sim.buffer import BufferManager

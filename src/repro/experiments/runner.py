@@ -24,7 +24,7 @@ Under this contract ``jobs=N`` output is byte-identical to ``jobs=1``
 (the fig11/fig12 integration tests assert it, including merged JSONL
 trace streams).
 
-Passing a :class:`repro.obs.runtime.SweepHeartbeat` as ``heartbeat``
+Passing a :class:`repro.obs.heartbeat.SweepHeartbeat` as ``heartbeat``
 adds liveness reporting — points completed, per-point wall time, ETA,
 worker health — on stderr and (when the heartbeat carries a tracer) as
 ``mark`` trace events.  The heartbeat observes only; worker results
@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs.runtime import NULL_HEARTBEAT, SweepHeartbeat
+from repro.obs.heartbeat import NULL_HEARTBEAT, SweepHeartbeat
 
 #: Packet-id stride between sweep points: point ``i`` draws its packet
 #: ids from ``[i * stride, (i+1) * stride)``.  Far above any single
@@ -69,7 +69,7 @@ def run_sweep(worker: Callable[[Any], Any], specs: Sequence[Any],
     ``jobs <= 1`` runs sequentially in-process (no pool, no pickling);
     ``jobs > 1`` fans the points over ``min(jobs, len(specs))``
     processes.  Either way the returned list is in spec order.
-    ``heartbeat`` (a :class:`repro.obs.runtime.SweepHeartbeat`) reports
+    ``heartbeat`` (a :class:`repro.obs.heartbeat.SweepHeartbeat`) reports
     per-point completion, wall time, and ETA as the sweep progresses.
     """
     if jobs <= 1 or len(specs) <= 1:

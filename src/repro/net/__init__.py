@@ -32,21 +32,18 @@ from per-host seeded RNGs, and all nodes share one simulator clock —
 so fabric sweeps shard across processes byte-identically.
 """
 
-from repro.net.fabric import Fabric
-from repro.net.fct import FctCollector, FlowRecord
-from repro.net.host import Host
-from repro.net.routing import RoutingTable, build_routes, ecmp_next_hop
-from repro.net.switch import FabricSwitch
-from repro.net.topology import (Topology, dumbbell, fat_tree,
-                                leaf_spine)
-from repro.net.workload import (DATA_MINING_CDF, WEB_SEARCH_CDF,
-                                OpenLoopWorkload, make_size_sampler)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Topology", "dumbbell", "leaf_spine", "fat_tree",
-    "RoutingTable", "build_routes", "ecmp_next_hop",
-    "FabricSwitch", "Host", "Fabric",
-    "FctCollector", "FlowRecord",
-    "WEB_SEARCH_CDF", "DATA_MINING_CDF", "OpenLoopWorkload",
-    "make_size_sampler",
-]
+_EXPORTS = {
+    "repro.net.topology": ("Topology", "dumbbell", "leaf_spine",
+                           "fat_tree"),
+    "repro.net.routing": ("RoutingTable", "build_routes", "ecmp_next_hop"),
+    "repro.net.switch": ("FabricSwitch",),
+    "repro.net.host": ("Host",),
+    "repro.net.fabric": ("Fabric",),
+    "repro.net.fct": ("FctCollector", "FlowRecord"),
+    "repro.net.workload": ("WEB_SEARCH_CDF", "DATA_MINING_CDF",
+                           "OpenLoopWorkload", "make_size_sampler"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

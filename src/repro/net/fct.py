@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
-from repro.obs.analyze import exact_quantile
+from repro.analysis.quantiles import exact_quantile
 from repro.sim.packet import Packet
 
 #: Flows at or below this many bytes count as "short" in the split

@@ -3,8 +3,9 @@
 Zero-dependency event tracing (:mod:`repro.obs.trace`), aggregate
 metrics (:mod:`repro.obs.metrics`), span scopes and the null default
 path (:mod:`repro.obs.scope`), wall-clock runtime telemetry — phase
-timers, the component-attributing sampling profiler, and the sweep
-heartbeat (:mod:`repro.obs.runtime`), the ``TracedList`` backend decorator
+timers and the component-attributing sampling profiler
+(:mod:`repro.obs.runtime`) — the sweep heartbeat
+(:mod:`repro.obs.heartbeat`), the ``TracedList`` backend decorator
 (:mod:`repro.obs.traced_list`), offline trace analysis with per-packet
 latency attribution (:mod:`repro.obs.analyze`), and Prometheus/Perfetto
 exporters (:mod:`repro.obs.export`); ``python -m repro.obs`` is the
@@ -27,74 +28,30 @@ Every instrumented component defaults to the shared null observers, so
 the untraced path stays allocation-free.
 """
 
-from repro.obs.analyze import (FlowReport, PacketTimeline, Run,
-                               TraceAnalysis, analyze_path, split_runs)
-from repro.obs.export import (flow_report_json, perfetto_trace,
-                              prometheus_from_snapshot, prometheus_text,
-                              write_perfetto, write_prometheus)
-from repro.obs.metrics import (BATCH_BUCKETS, Counter, DEPTH_BUCKETS,
-                               Gauge, Histogram, LATENCY_BUCKETS_US,
-                               LogHistogram, MetricsRegistry,
-                               ScopedMetrics, scoped)
-from repro.obs.runtime import (NULL_HEARTBEAT, NULL_RUNTIME_PROFILER,
-                               NullRuntimeProfiler, NullSweepHeartbeat,
-                               PhaseTimer, RuntimeProfiler,
-                               RuntimeReport, SamplingProfiler,
-                               SweepHeartbeat, attribute_frame,
-                               attribute_stack, component_of)
-from repro.obs.scope import (NULL_METRICS, NULL_SPAN, NULL_TRACER,
-                             NullMetrics, NullSpan, NullTracer, Span)
-from repro.obs.trace import (EVENT_KINDS, LabelledTracer, TraceEvent,
-                             Tracer, labelled, read_jsonl)
-from repro.obs.traced_list import TracedList
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BATCH_BUCKETS",
-    "Counter",
-    "DEPTH_BUCKETS",
-    "EVENT_KINDS",
-    "FlowReport",
-    "Gauge",
-    "Histogram",
-    "LATENCY_BUCKETS_US",
-    "LabelledTracer",
-    "LogHistogram",
-    "MetricsRegistry",
-    "NULL_HEARTBEAT",
-    "NULL_METRICS",
-    "NULL_RUNTIME_PROFILER",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullMetrics",
-    "NullRuntimeProfiler",
-    "NullSpan",
-    "NullSweepHeartbeat",
-    "NullTracer",
-    "PacketTimeline",
-    "PhaseTimer",
-    "Run",
-    "RuntimeProfiler",
-    "RuntimeReport",
-    "SamplingProfiler",
-    "ScopedMetrics",
-    "Span",
-    "SweepHeartbeat",
-    "TraceAnalysis",
-    "TraceEvent",
-    "TracedList",
-    "Tracer",
-    "analyze_path",
-    "attribute_frame",
-    "attribute_stack",
-    "component_of",
-    "flow_report_json",
-    "labelled",
-    "perfetto_trace",
-    "prometheus_from_snapshot",
-    "prometheus_text",
-    "read_jsonl",
-    "scoped",
-    "split_runs",
-    "write_perfetto",
-    "write_prometheus",
-]
+_EXPORTS = {
+    "repro.obs.analyze": ("FlowReport", "PacketTimeline", "Run",
+                          "TraceAnalysis", "analyze_path", "split_runs"),
+    "repro.obs.export": ("flow_report_json", "perfetto_trace",
+                         "prometheus_from_snapshot", "prometheus_text",
+                         "write_perfetto", "write_prometheus"),
+    "repro.obs.heartbeat": ("NULL_HEARTBEAT", "NullSweepHeartbeat",
+                            "SweepHeartbeat"),
+    "repro.obs.metrics": ("BATCH_BUCKETS", "Counter", "DEPTH_BUCKETS",
+                          "Gauge", "Histogram", "LATENCY_BUCKETS_US",
+                          "LogHistogram", "MetricsRegistry",
+                          "ScopedMetrics", "scoped"),
+    "repro.obs.runtime": ("NULL_RUNTIME_PROFILER", "NullRuntimeProfiler",
+                          "PhaseTimer", "RuntimeProfiler",
+                          "RuntimeReport", "SamplingProfiler",
+                          "attribute_frame", "attribute_stack",
+                          "component_of"),
+    "repro.obs.scope": ("NULL_METRICS", "NULL_SPAN", "NULL_TRACER",
+                        "NullMetrics", "NullSpan", "NullTracer", "Span"),
+    "repro.obs.trace": ("EVENT_KINDS", "LabelledTracer", "TraceEvent",
+                        "Tracer", "labelled", "read_jsonl"),
+    "repro.obs.traced_list": ("TracedList",),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

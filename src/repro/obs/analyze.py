@@ -38,7 +38,6 @@ or corrupted traces.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 
 from repro.analysis.fairness import jains_index
+from repro.analysis.quantiles import exact_quantile
 from repro.sim.recorder import Recorder
 
 #: Sim-time comparisons tolerate this much float noise (seconds).
@@ -300,16 +300,6 @@ class FlowReport:
             "eligibility_exact": self.eligibility_exact,
             "starved": self.starved,
         }
-
-
-def exact_quantile(sorted_samples: Sequence[float], q: float) -> float:
-    """Exact empirical quantile (nearest-rank) of pre-sorted samples."""
-    if not sorted_samples:
-        return 0.0
-    if not 0 <= q <= 1:
-        raise ValueError("quantile must be within [0, 1]")
-    index = max(0, math.ceil(q * len(sorted_samples)) - 1)
-    return sorted_samples[index]
 
 
 class _IntervalSet:

@@ -10,66 +10,36 @@ Post-Dequeue / alarm programming functions:
 * priority scheduling: strict priority, SJF, SRTF, EDF, LSTF (Section 4.5)
 """
 
-from repro.sched.base import SchedulingAlgorithm, TimeBase, TriggerModel
-from repro.sched.control import ControlPlane
-from repro.sched.drr import DeficitRoundRobin
-from repro.sched.feedback import PAUSE, RESUME, FeedbackChannel
-from repro.sched.framework import PieoScheduler, SchedulerContext
-from repro.sched.hierarchical import (HierarchicalScheduler, LogicalPieoView,
-                                      SchedNode, two_level_tree)
-from repro.sched.mlfq import MultiLevelFeedbackQueue
-from repro.sched.priority import (EarliestDeadlineFirst, LeastSlackTimeFirst,
-                                  ShortestJobFirst,
-                                  ShortestRemainingTimeFirst, StrictPriority)
-from repro.sched.rcsp import RateControlledStaticPriority, RateJitterRegulator
-from repro.sched.registry import (available_algorithms, get_algorithm,
-                                  get_spec, make_algorithm,
-                                  register_algorithm)
-from repro.sched.sfq import StochasticFairnessQueuing
-from repro.sched.spec import AlgorithmSpec
-from repro.sched.starvation import (AgingStrictPriority,
-                                    install_aging_monitor, starving_flows)
-from repro.sched.tdma import TimeSlotted
-from repro.sched.token_bucket import TokenBucket
-from repro.sched.wf2q import WF2Qplus, WorstCaseFairWeightedFairQueuing
-from repro.sched.wfq import WeightedFairQueuing
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "SchedulingAlgorithm",
-    "TimeBase",
-    "TriggerModel",
-    "ControlPlane",
-    "DeficitRoundRobin",
-    "PAUSE",
-    "RESUME",
-    "FeedbackChannel",
-    "PieoScheduler",
-    "SchedulerContext",
-    "HierarchicalScheduler",
-    "LogicalPieoView",
-    "SchedNode",
-    "two_level_tree",
-    "MultiLevelFeedbackQueue",
-    "EarliestDeadlineFirst",
-    "LeastSlackTimeFirst",
-    "ShortestJobFirst",
-    "ShortestRemainingTimeFirst",
-    "StrictPriority",
-    "RateControlledStaticPriority",
-    "RateJitterRegulator",
-    "StochasticFairnessQueuing",
-    "AgingStrictPriority",
-    "install_aging_monitor",
-    "starving_flows",
-    "TimeSlotted",
-    "TokenBucket",
-    "WF2Qplus",
-    "WorstCaseFairWeightedFairQueuing",
-    "WeightedFairQueuing",
-    "AlgorithmSpec",
-    "available_algorithms",
-    "get_algorithm",
-    "get_spec",
-    "make_algorithm",
-    "register_algorithm",
-]
+_EXPORTS = {
+    "repro.sched.base": ("SchedulingAlgorithm", "TimeBase",
+                         "TriggerModel"),
+    "repro.sched.control": ("ControlPlane",),
+    "repro.sched.drr": ("DeficitRoundRobin",),
+    "repro.sched.feedback": ("PAUSE", "RESUME", "FeedbackChannel"),
+    "repro.sched.framework": ("PieoScheduler", "SchedulerContext"),
+    "repro.sched.hierarchical": ("HierarchicalScheduler",
+                                 "LogicalPieoView", "SchedNode",
+                                 "two_level_tree"),
+    "repro.sched.mlfq": ("MultiLevelFeedbackQueue",),
+    "repro.sched.priority": ("EarliestDeadlineFirst",
+                             "LeastSlackTimeFirst", "ShortestJobFirst",
+                             "ShortestRemainingTimeFirst",
+                             "StrictPriority"),
+    "repro.sched.rcsp": ("RateControlledStaticPriority",
+                         "RateJitterRegulator"),
+    "repro.sched.sfq": ("StochasticFairnessQueuing",),
+    "repro.sched.starvation": ("AgingStrictPriority",
+                               "install_aging_monitor", "starving_flows"),
+    "repro.sched.tdma": ("TimeSlotted",),
+    "repro.sched.token_bucket": ("TokenBucket",),
+    "repro.sched.wf2q": ("WF2Qplus", "WorstCaseFairWeightedFairQueuing"),
+    "repro.sched.wfq": ("WeightedFairQueuing",),
+    "repro.sched.spec": ("AlgorithmSpec",),
+    "repro.sched.registry": ("available_algorithms", "get_algorithm",
+                             "get_spec", "make_algorithm",
+                             "register_algorithm"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -2,55 +2,26 @@
 and the multi-port dataplane (ports, shared-buffer admission,
 classification)."""
 
-from repro.sim.buffer import (BufferManager, DropPolicy,
-                              LongestQueueDrop, RedDrop, TailDrop,
-                              available_drop_policies, get_drop_policy,
-                              make_drop_policy, register_drop_policy)
-from repro.sim.classifier import (Classifier, FnClassifier,
-                                  HashClassifier, StaticClassifier)
-from repro.sim.dataplane import Dataplane, single_port_dataplane
-from repro.sim.engine import TransmitEngine
-from repro.sim.events import EventHandle, Simulator
-from repro.sim.flow import FlowQueue
-from repro.sim.port import Port
-from repro.sim.generators import (BackloggedSource, CbrGenerator,
-                                  OnOffGenerator, PacketGenerator,
-                                  PoissonGenerator)
-from repro.sim.link import GBPS, Link, gbps
-from repro.sim.packet import MTU_BYTES, Packet
-from repro.sim.recorder import Departure, Recorder
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BufferManager",
-    "Classifier",
-    "Dataplane",
-    "DropPolicy",
-    "FnClassifier",
-    "HashClassifier",
-    "LongestQueueDrop",
-    "Port",
-    "RedDrop",
-    "StaticClassifier",
-    "TailDrop",
-    "TransmitEngine",
-    "EventHandle",
-    "Simulator",
-    "FlowQueue",
-    "available_drop_policies",
-    "get_drop_policy",
-    "make_drop_policy",
-    "register_drop_policy",
-    "single_port_dataplane",
-    "BackloggedSource",
-    "CbrGenerator",
-    "OnOffGenerator",
-    "PacketGenerator",
-    "PoissonGenerator",
-    "GBPS",
-    "Link",
-    "gbps",
-    "MTU_BYTES",
-    "Packet",
-    "Departure",
-    "Recorder",
-]
+_EXPORTS = {
+    "repro.sim.buffer": ("BufferManager", "DropPolicy", "LongestQueueDrop",
+                         "RedDrop", "TailDrop", "available_drop_policies",
+                         "get_drop_policy", "make_drop_policy",
+                         "register_drop_policy"),
+    "repro.sim.classifier": ("Classifier", "FnClassifier",
+                             "HashClassifier", "StaticClassifier"),
+    "repro.sim.dataplane": ("Dataplane", "single_port_dataplane"),
+    "repro.sim.port": ("Port",),
+    "repro.sim.engine": ("TransmitEngine",),
+    "repro.sim.events": ("EventHandle", "Simulator"),
+    "repro.sim.flow": ("FlowQueue",),
+    "repro.sim.generators": ("BackloggedSource", "CbrGenerator",
+                             "OnOffGenerator", "PacketGenerator",
+                             "PoissonGenerator"),
+    "repro.sim.link": ("GBPS", "Link", "gbps"),
+    "repro.sim.packet": ("MTU_BYTES", "Packet"),
+    "repro.sim.recorder": ("Departure", "Recorder"),
+}
+
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)
