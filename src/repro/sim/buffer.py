@@ -385,13 +385,16 @@ class BufferManager:
             self.port_bytes.get(port_id, 0) - size_bytes
         self.port_pkts[port_id] = self.port_pkts.get(port_id, 0) - 1
         self.flow_bytes[key] = self.flow_bytes.get(key, 0) - size_bytes
-        self.flow_pkts[key] = self.flow_pkts.get(key, 0) - 1
+        flow_pkts = self.flow_pkts[key] = self.flow_pkts.get(key, 0) - 1
         if (self.total_bytes < 0 or self.total_pkts < 0
                 or self.port_pkts[port_id] < 0
-                or self.flow_pkts[key] < 0):
+                or flow_pkts < 0):
             raise ValueError(
                 f"buffer release underflow for port={port_id!r} "
                 f"flow={flow_id!r}: released more than admitted")
+        if not flow_pkts:
+            # Emptied: drop the entry so victim scans never walk it.
+            del self.flow_bytes[key], self.flow_pkts[key]
         if self._metered:
             self._g_bytes.set(self.total_bytes)
             self._g_pkts.set(self.total_pkts)
@@ -426,24 +429,34 @@ class BufferManager:
     # -- victim selection (push-out policies) --------------------------
     def longest_queue(self, min_depth: int = 2):
         """The (port_id, flow_id, queue) holding the most buffered
-        bytes among queues at least ``min_depth`` deep; None if no
-        queue qualifies.  Ties break deterministically on the
-        stringified (port, flow) key."""
+        bytes among queues at least ``min_depth`` (>= 1) deep; None if
+        no queue qualifies.  Ties break deterministically on the
+        stringified (port, flow) key.
+
+        Every queued packet was admitted, so a queue is never deeper
+        than the buffer's own packet count for it: entries shallower
+        than ``min_depth`` are skipped unresolved, and a queue is
+        resolved only when its key would beat the best so far.
+        """
         best = None
         best_key = None
-        for (port_id, flow_id), occupied in self.flow_bytes.items():
-            if occupied <= 0:
+        flow_pkts = self.flow_pkts
+        resolvers = self._resolvers
+        for key, occupied in self.flow_bytes.items():
+            if flow_pkts[key] < min_depth:
                 continue
-            resolver = self._resolvers.get(port_id)
+            port_id, flow_id = key
+            sort_key = (-occupied, str(port_id), str(flow_id))
+            if best_key is not None and sort_key >= best_key:
+                continue
+            resolver = resolvers.get(port_id)
             if resolver is None:
                 continue
             queue = resolver(flow_id)
             if queue is None or len(queue) < min_depth:
                 continue
-            sort_key = (-occupied, str(port_id), str(flow_id))
-            if best_key is None or sort_key < best_key:
-                best_key = sort_key
-                best = (port_id, flow_id, queue)
+            best_key = sort_key
+            best = (port_id, flow_id, queue)
         return best
 
     # -- reporting ------------------------------------------------------
