@@ -49,6 +49,6 @@ def lazy_namespace(package: str, exports: Mapping[str, Iterable[str]]
         return value
 
     def __dir__() -> List[str]:
-        return sorted(namespace.keys() | origin.keys())
+        return list(namespace.keys() | origin.keys())
 
     return list(origin), __getattr__, __dir__

@@ -7,7 +7,10 @@ resolve to the very object its defining module holds.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -50,12 +53,20 @@ def test_getattr_resolves_to_the_defining_module(name):
                                 export), export
 
 
-@pytest.mark.parametrize("name", PACKAGES)
-def test_dir_lists_every_export(name):
-    package = importlib.import_module(name)
-    listed = dir(package)
-    assert set(package.__all__) <= set(listed)
-    assert listed == sorted(listed)
+def test_dir_lists_every_export_before_it_is_loaded():
+    # A fresh interpreter: no exported name has been resolved yet.
+    code = ("import importlib\n"
+            f"for name in {PACKAGES!r}:\n"
+            "    package = importlib.import_module(name)\n"
+            "    tabled = {item for names in package._EXPORTS.values()\n"
+            "              for item in names}\n"
+            "    assert not tabled & vars(package).keys(), name\n"
+            "    assert set(package.__all__) <= set(dir(package)), name\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(repro.__path__[0])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("name", PACKAGES)
