@@ -232,7 +232,7 @@ class Simulator:
     def schedule(self, time: float, callback: EventCallback) -> EventHandle:
         """Run ``callback`` at absolute ``time`` (>= now); the returned
         handle can cancel it."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}")
         seq = next(self._seq)
@@ -251,7 +251,7 @@ class Simulator:
 
         Like :meth:`schedule` (same sequence numbers, same trace and
         gauge updates) but allocates no handle."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}")
         seq = next(self._seq)
@@ -264,7 +264,7 @@ class Simulator:
     def schedule_in(self, delay: float,
                     callback: EventCallback) -> EventHandle:
         """Run ``callback`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule(self.now + delay, callback)
 

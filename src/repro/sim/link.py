@@ -8,6 +8,8 @@ is idle", Fig. 3).
 
 from __future__ import annotations
 
+import math
+
 from repro.obs.scope import NULL_TRACER
 from repro.sim.packet import Packet
 
@@ -23,8 +25,8 @@ class Link:
     """
 
     def __init__(self, rate_bps: float, tracer=None) -> None:
-        if rate_bps <= 0:
-            raise ValueError("link rate must be positive")
+        if not 0 < rate_bps < math.inf:  # also rejects NaN
+            raise ValueError("link rate must be positive and finite")
         self.rate_bps = rate_bps
         self.busy_until = 0.0
         self.bytes_sent = 0

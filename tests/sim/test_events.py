@@ -37,6 +37,26 @@ def test_schedule_in_past_rejected():
         sim.schedule_in(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("entry", ["schedule", "post"])
+def test_nan_time_rejected(entry):
+    sim = Simulator()
+    log = []
+    sim.post(2.0, lambda: log.append("f"))
+    with pytest.raises(SimulationError):
+        getattr(sim, entry)(float("nan"), lambda: log.append("g"))
+    sim.post(1.0, lambda: log.append("h"))
+    sim.run()
+    assert log == ["h", "f"]
+    assert sim.now == 2.0
+
+
+def test_nan_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_in(float("nan"), lambda: None)
+    assert sim.peek_next_time() is None
+
+
 def test_cancel_prevents_firing():
     sim = Simulator()
     log = []

@@ -42,5 +42,11 @@ def test_rate_must_be_positive():
         Link(0)
 
 
+@pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+def test_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(ValueError):
+        Link(rate)
+
+
 def test_gbps_helper():
     assert gbps(40) == 40e9
