@@ -17,10 +17,6 @@ callback fast-forward the clock through a chain of them
 unobserved single-port runs.
 """
 
-import cProfile
-import io
-import pathlib
-import pstats
 import statistics
 import time
 
@@ -86,20 +82,6 @@ def _throughput_table() -> Table:
     return table
 
 
-def _write_profile(path) -> None:
-    """cProfile the default configuration; top frames by cumulative
-    time."""
-    profiler = cProfile.Profile()
-    reset_packet_ids(0)
-    profiler.enable()
-    run_hierarchy(default_node_rates(), duration=DURATION)
-    profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(30)
-    path.write_text(buffer.getvalue())
-
-
 def test_sim_throughput_table(benchmark, save_table):
     table = benchmark.pedantic(_throughput_table, rounds=1, iterations=1)
     save_table("sim_throughput", table)
@@ -109,11 +91,3 @@ def test_sim_throughput_table(benchmark, save_table):
     # so a noisy round cannot flake; dropping through it means the
     # drain path genuinely regressed.
     assert ratio["reference+drain"] >= 0.95, table.to_text()
-
-
-def test_sim_profile_artifact():
-    """Regenerate the committed cProfile snapshot of the default
-    configuration."""
-    results_dir = pathlib.Path(__file__).parent / "bench_results"
-    results_dir.mkdir(exist_ok=True)
-    _write_profile(results_dir / "sim_profile.txt")

@@ -3,8 +3,9 @@
 The PIEO paper's layering argument is that *what the list means* is
 independent of *what it costs*; this module is that split made concrete
 for the whole repository.  Schedulers, experiments, the dictionary, and
-the benchmark harness all obtain their ordered lists here, so swapping
-the engine under an entire simulation is a one-word config change::
+the table benchmarks under ``benchmarks/`` all obtain their ordered
+lists here, so swapping the engine under an entire simulation is a
+one-word config change::
 
     from repro.core.backends import make_list
     pieo = make_list("fast", capacity=4096)

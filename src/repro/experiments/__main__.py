@@ -13,7 +13,6 @@ Usage::
     python -m repro.experiments incast --algorithm wfq --trace t.jsonl
     python -m repro.experiments --list-algorithms
     python -m repro.experiments fig12 --jobs 4 --heartbeat
-    python -m repro.experiments fig11 --trace t.jsonl --profile-runtime
 
 ``--backend`` selects the ordered-list engine (from the
 :mod:`repro.core.backends` registry) for the experiments that exercise a
@@ -40,12 +39,8 @@ byte-identical to ``--jobs 1`` (DESIGN.md section 9).
 ``--heartbeat`` reports sweep liveness (points completed, per-point
 wall time, ETA, worker health) on stderr — and, when tracing, as
 ``sweep.heartbeat`` mark events (wall-clock fields, so the trace is no
-longer byte-reproducible).  ``--profile-runtime [FILE]`` samples the
-host call stack for the whole run and writes a per-component wall-time
-attribution report (:mod:`repro.obs.runtime`): JSON to ``FILE``, to
-``<trace>.runtime.json`` when only ``--trace`` is given (where
-``python -m repro.obs summarize`` picks it up automatically), or text
-to stderr with neither.
+longer byte-reproducible).  Per-function wall time of any invocation
+comes from ``python -m cProfile -m repro.experiments ...``.
 
 The multi-port incast experiment additionally honours ``--ports N``
 (output-port count), ``--drop-policy NAME`` (shared-buffer admission,
@@ -71,7 +66,6 @@ DESIGN.md section 13 covers the fabric layer.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import inspect
 import sys
 
@@ -107,25 +101,6 @@ EXPERIMENTS = {
     "shaping": (shaping_comparison_table,),
     "structures": (structure_comparison_table,),
 }
-
-#: Reusable no-op scope for the unprofiled path.
-_NULL_PHASE = contextlib.nullcontext()
-
-
-def _write_runtime_report(report, dest, trace_path) -> None:
-    """Emit a ``--profile-runtime`` report: JSON to a file, or text to
-    stderr when the destination is ``-`` (the traceless default)."""
-    import json
-    if dest == "":
-        dest = (f"{trace_path}.runtime.json" if trace_path is not None
-                else "-")
-    if dest == "-":
-        print(report.to_text(), file=sys.stderr)
-        return
-    with open(dest, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"runtime profile -> {dest}", file=sys.stderr)
 
 
 def _print_charts() -> None:
@@ -226,13 +201,6 @@ def main(argv) -> int:
         help="flow-size workload for the fct experiment: web-search, "
              "data-mining, or pareto (default pareto)")
     parser.add_argument(
-        "--profile-runtime", nargs="?", const="", default=None,
-        metavar="FILE",
-        help="profile host wall-clock time during the run and write a "
-             "component-attribution report (JSON) to FILE; with no "
-             "FILE, defaults to <trace>.runtime.json when --trace is "
-             "given, else prints the report to stderr")
-    parser.add_argument(
         "--heartbeat", action="store_true",
         help="report sweep liveness (points done, per-point wall time, "
              "ETA) on stderr and, with --trace, as heartbeat mark "
@@ -312,11 +280,6 @@ def main(argv) -> int:
     if args.heartbeat:
         from repro.obs.heartbeat import SweepHeartbeat
         heartbeat = SweepHeartbeat(tracer=tracer)
-    profiler = None
-    if args.profile_runtime is not None:
-        from repro.obs.runtime import RuntimeProfiler
-        profiler = RuntimeProfiler()
-        profiler.start()
 
     keys = args.keys if args.keys else list(EXPERIMENTS) + ["charts"]
     try:
@@ -329,16 +292,13 @@ def main(argv) -> int:
                       f"{', '.join(EXPERIMENTS)}, charts")
                 return 2
             for table_fn in EXPERIMENTS[key]:
-                with (profiler.phase(key) if profiler is not None
-                      else _NULL_PHASE):
-                    table = _call(table_fn, args.backend, tracer=tracer,
-                                  metrics=metrics,
-                                  duration=args.duration,
-                                  jobs=args.jobs, ports=args.ports,
-                                  drop_policy=args.drop_policy,
-                                  algorithm=args.algorithm,
-                                  workload=args.workload,
-                                  heartbeat=heartbeat)
+                table = _call(table_fn, args.backend, tracer=tracer,
+                              metrics=metrics, duration=args.duration,
+                              jobs=args.jobs, ports=args.ports,
+                              drop_policy=args.drop_policy,
+                              algorithm=args.algorithm,
+                              workload=args.workload,
+                              heartbeat=heartbeat)
                 print(table.to_text())
                 print()
     finally:
@@ -349,10 +309,6 @@ def main(argv) -> int:
         if metrics is not None:
             metrics.write_json(args.metrics)
             print(f"metrics -> {args.metrics}", file=sys.stderr)
-        if profiler is not None:
-            profiler.stop()
-            _write_runtime_report(profiler.report(),
-                                  args.profile_runtime, args.trace)
     if args.analyze:
         from repro.conformance.__main__ import main as conf_main
         from repro.obs.__main__ import main as obs_main

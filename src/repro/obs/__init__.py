@@ -2,9 +2,7 @@
 
 Zero-dependency event tracing (:mod:`repro.obs.trace`), aggregate
 metrics (:mod:`repro.obs.metrics`), span scopes and the null default
-path (:mod:`repro.obs.scope`), wall-clock runtime telemetry — phase
-timers and the component-attributing sampling profiler
-(:mod:`repro.obs.runtime`) — the sweep heartbeat
+path (:mod:`repro.obs.scope`), the sweep heartbeat
 (:mod:`repro.obs.heartbeat`), the ``TracedList`` backend decorator
 (:mod:`repro.obs.traced_list`), offline trace analysis with per-packet
 latency attribution (:mod:`repro.obs.analyze`), and Prometheus/Perfetto
@@ -42,11 +40,6 @@ _EXPORTS = {
                           "Gauge", "Histogram", "LATENCY_BUCKETS_US",
                           "LogHistogram", "MetricsRegistry",
                           "ScopedMetrics", "scoped"),
-    "repro.obs.runtime": ("NULL_RUNTIME_PROFILER", "NullRuntimeProfiler",
-                          "PhaseTimer", "RuntimeProfiler",
-                          "RuntimeReport", "SamplingProfiler",
-                          "attribute_frame", "attribute_stack",
-                          "component_of"),
     "repro.obs.scope": ("NULL_METRICS", "NULL_SPAN", "NULL_TRACER",
                         "NullMetrics", "NullSpan", "NullTracer", "Span"),
     "repro.obs.trace": ("EVENT_KINDS", "LabelledTracer", "TraceEvent",

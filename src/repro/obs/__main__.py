@@ -3,7 +3,6 @@
 Usage::
 
     python -m repro.obs summarize trace.jsonl
-    python -m repro.obs summarize trace.jsonl --runtime profile.json
     python -m repro.obs flows trace.jsonl --starvation-ms 1.0
     python -m repro.obs flows trace.jsonl --costs opcounters.json
     python -m repro.obs timeline trace.jsonl --flow n6.f2 --limit 20
@@ -23,10 +22,7 @@ whole-run analysis would be nonsense), ``summarize`` prints a
 per-switch block (traffic, drops by reason, hop residence), and
 ``--switch NAME`` narrows any command to one switch.  ``audit``
 exits non-zero when the trace is truncated, corrupted, or violates
-packet conservation/ordering.  ``summarize`` additionally prints a
-wall-clock component-attribution block when a ``--profile-runtime``
-report accompanies the trace (``--runtime FILE``, or the
-``<trace>.runtime.json`` convention auto-detected).
+packet conservation/ordering.
 """
 
 from __future__ import annotations
@@ -126,31 +122,6 @@ def _flow_table(title: str, analysis: TraceAnalysis,
     return table
 
 
-def _runtime_report_for(args):
-    """Load the runtime profile accompanying a trace, if any.
-
-    ``--runtime FILE`` names it explicitly; otherwise the
-    ``--profile-runtime`` convention path ``<trace>.runtime.json`` is
-    auto-detected.  Returns ``(report, error_message)``; a present but
-    malformed profile is an error (never silently ignored).
-    """
-    import os
-
-    from repro.obs.runtime import RuntimeReport
-    path = getattr(args, "runtime", None)
-    if path is None:
-        candidate = f"{args.trace}.runtime.json"
-        if not os.path.exists(candidate):
-            return None, None
-        path = candidate
-    try:
-        with open(path) as handle:
-            record = json.load(handle)
-        return RuntimeReport.from_dict(record), None
-    except (OSError, ValueError) as error:
-        return None, f"runtime profile {path}: {error}"
-
-
 def _switch_block(switch: str, analysis: TraceAnalysis) -> str:
     """One per-switch summary line: traffic totals, drops by reason,
     and hop residence (arrival at the switch to wire-out)."""
@@ -231,13 +202,6 @@ def _cmd_summarize(args) -> int:
             print(f"{prefix}{issue}", file=sys.stderr)
         if errors:
             exit_code = 1
-        print()
-    report, problem = _runtime_report_for(args)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        exit_code = exit_code or 1
-    elif report is not None:
-        print(report.to_text())
         print()
     return exit_code
 
@@ -439,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize", help="per-run event counts and per-flow "
         "p50/p99 latency attribution")
     add_common(summarize)
-    summarize.add_argument("--runtime", default=None, metavar="FILE",
-                           help="runtime-profile JSON (from "
-                           "--profile-runtime) to print a wall-clock "
-                           "attribution block; default: auto-detect "
-                           "<trace>.runtime.json")
     summarize.set_defaults(handler=_cmd_summarize)
 
     flows = sub.add_parser(

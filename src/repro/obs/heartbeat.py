@@ -5,7 +5,7 @@
 wall time, ETA, and worker health, surfaced on a stream (stderr by
 default) and as ``mark`` trace events.  :data:`NULL_HEARTBEAT` is the
 do-nothing default.  This is a leaf module, so sweeps load it without
-the sampling profiler in :mod:`repro.obs.runtime`.
+the analysis and export code of :mod:`repro.obs`.
 """
 
 from __future__ import annotations

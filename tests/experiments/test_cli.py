@@ -147,32 +147,3 @@ def test_no_heartbeat_keeps_trace_clean(tmp_path):
     events = read_jsonl(trace_path)
     assert not any(event.get("label") == "sweep.heartbeat"
                    for event in events)
-
-
-def test_profile_runtime_to_explicit_file(tmp_path, capsys):
-    dest = tmp_path / "profile.json"
-    assert _run("fig12", "--duration", "0.001",
-                "--profile-runtime", str(dest)) == 0
-    record = json.loads(dest.read_text())
-    assert record["kind"] == "runtime_profile"
-    assert record["phases"].get("fig12", {}).get("count") == 1
-    assert f"runtime profile -> {dest}" in capsys.readouterr().err
-
-
-def test_profile_runtime_defaults_beside_trace(tmp_path):
-    trace_path = tmp_path / "trace.jsonl"
-    assert _run("fig12", "--duration", "0.001",
-                "--trace", str(trace_path),
-                "--profile-runtime") == 0
-    sidecar = tmp_path / "trace.jsonl.runtime.json"
-    assert sidecar.exists()
-    record = json.loads(sidecar.read_text())
-    assert record["schema_version"] == 1
-
-
-def test_profile_runtime_without_trace_prints_text(capsys):
-    assert _run("fig12", "--duration", "0.001",
-                "--profile-runtime") == 0
-    err = capsys.readouterr().err
-    assert "runtime profile:" in err
-    assert "attributed to repro components" in err

@@ -14,7 +14,7 @@ import pytest
 from repro.experiments.fig12_fair_queue import fair_queue_table
 from repro.experiments.runner import run_sweep
 from repro.obs import Tracer
-from repro.obs.runtime import SweepHeartbeat
+from repro.obs.heartbeat import SweepHeartbeat
 
 FAST = dict(sweep_gbps=(1.0, 2.0), duration=0.001)
 

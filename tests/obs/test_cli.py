@@ -115,60 +115,3 @@ def test_export_prometheus_requires_metrics_json(tmp_path):
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["obs", "explode"])
-
-
-def _write_runtime_profile(path, corrupt=False):
-    from repro.obs.runtime import RuntimeReport
-    report = RuntimeReport(wall_s=1.5, interval_s=0.002,
-                           samples={"sim.events": 8, "other": 2},
-                           phases={"fig12": {"wall_s": 1.4,
-                                             "count": 1}})
-    record = report.to_dict()
-    if corrupt:
-        record["kind"] = "something-else"
-    path.write_text(json.dumps(record))
-    return path
-
-
-def test_summarize_prints_runtime_block_explicit(tmp_path, capsys):
-    trace = _write_trace(tmp_path / "t.jsonl")
-    profile = _write_runtime_profile(tmp_path / "prof.json")
-    assert main(["obs", "summarize", str(trace),
-                 "--runtime", str(profile)]) == 0
-    out = capsys.readouterr().out
-    assert "runtime profile: 1.500 s wall" in out
-    assert "sim.events" in out
-    assert "80.0% attributed" in out
-    assert "fig12" in out
-
-
-def test_summarize_autodetects_runtime_convention(tmp_path, capsys):
-    trace = _write_trace(tmp_path / "t.jsonl")
-    _write_runtime_profile(tmp_path / "t.jsonl.runtime.json")
-    assert main(["obs", "summarize", str(trace)]) == 0
-    assert "runtime profile: 1.500 s wall" in capsys.readouterr().out
-
-
-def test_summarize_without_runtime_profile_omits_block(tmp_path,
-                                                       capsys):
-    trace = _write_trace(tmp_path / "t.jsonl")
-    assert main(["obs", "summarize", str(trace)]) == 0
-    assert "runtime profile" not in capsys.readouterr().out
-
-
-def test_summarize_malformed_runtime_profile_errors(tmp_path, capsys):
-    trace = _write_trace(tmp_path / "t.jsonl")
-    profile = _write_runtime_profile(tmp_path / "prof.json",
-                                     corrupt=True)
-    assert main(["obs", "summarize", str(trace),
-                 "--runtime", str(profile)]) == 1
-    captured = capsys.readouterr()
-    assert "not a runtime profile" in captured.err
-    assert "runtime profile: " not in captured.out
-
-
-def test_summarize_missing_explicit_runtime_errors(tmp_path, capsys):
-    trace = _write_trace(tmp_path / "t.jsonl")
-    assert main(["obs", "summarize", str(trace),
-                 "--runtime", str(tmp_path / "nope.json")]) == 1
-    assert "runtime profile" in capsys.readouterr().err

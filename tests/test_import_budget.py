@@ -22,10 +22,8 @@ FORBIDDEN = (
     "repro.hw",
     "repro.baselines",
     "repro.conformance",
-    "repro.bench",
     "repro.dictionary",
     "repro.obs.analyze",
-    "repro.obs.runtime",
     "repro.obs.export",
     "repro.core.fastlist",
     "repro.core.pieo",
