@@ -43,10 +43,6 @@ class GateError(Exception):
     """A record that cannot be compared, or a perfbench run that failed."""
 
 
-def _python() -> str:
-    return "%d.%d" % sys.version_info[:2]
-
-
 def _benchmark() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -77,7 +73,8 @@ def record(out_dir: pathlib.Path) -> None:
         path = out_dir / f"BENCH_{workload}.json"
         path.write_text(json.dumps(
             {"schema_version": SCHEMA_VERSION, "workload": workload,
-             "python": _python(), "git_commit": commit,
+             "python": "%d.%d" % sys.version_info[:2],
+             "git_commit": commit,
              "metrics": metrics}, indent=2, sort_keys=True) + "\n")
         print(f"{workload}: {metrics[RATE]:.0f} {RATE} -> {path}")
 
@@ -88,8 +85,10 @@ def _load(directory: pathlib.Path, workload: str) -> dict:
         data = json.loads(path.read_text())
     except (OSError, ValueError) as error:
         raise GateError(f"{path}: {error}") from None
-    if not isinstance(data, dict) or \
-            data.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(data, dict):
+        data = {}
+    if data.get("schema_version") != SCHEMA_VERSION \
+            or not isinstance(data.get("python"), str):
         raise GateError(f"{path}: not a schema_version {SCHEMA_VERSION} "
                         "record")
     metrics = data.get("metrics")

@@ -115,10 +115,12 @@ def _rewrite(path, change):
      "not a schema_version 2 record"),
     (lambda path: _rewrite(path, lambda record: record["metrics"].pop(
         "py.calls_per_pkt")), "'py.calls_per_pkt' missing"),
+    (lambda path: _rewrite(path, lambda record: record.pop("python")),
+     "not a schema_version 2 record"),
     (lambda path: _rewrite(path, lambda record: record.update(
         python="3.12")), "Python 3.11, current on 3.12"),
 ], ids=["missing", "malformed", "old-version", "v1-record",
-        "missing-metric", "python-mismatch"])
+        "missing-metric", "no-python", "python-mismatch"])
 def test_unusable_record_fails_loudly(tmp_path, capsys, mutate,
                                       message):
     assert _compare_with(tmp_path, mutate) == 1
