@@ -176,8 +176,8 @@ def main(argv) -> int:
     parser.add_argument(
         "--jobs", default=None, type=int, metavar="N",
         help="shard sweep points of sweep-style experiments (fig11, "
-             "fig12, incast) over N worker processes; output is "
-             "byte-identical to --jobs 1")
+             "fig12, incast, fct, fabric-incast) over N worker "
+             "processes; output is byte-identical to --jobs 1")
     parser.add_argument(
         "--ports", default=None, type=int, metavar="N",
         help="number of output ports for multi-port experiments "

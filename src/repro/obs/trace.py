@@ -92,6 +92,16 @@ def _non_finite_json(record: Dict[str, object]) -> str:
     return "".join(_LENIENT(safe, 0))
 
 
+#: Entries either text memo of a streaming tracer holds before it is
+#: cleared.  Sim times, deadlines and ranks repeat across nearby events:
+#: 90-96% of the floats streamed by the hier, incast and fct runs hit a
+#: memo of this size.
+_MEMO_BOUND = 1024
+
+#: The ``,"kind":"<kind>"`` text of every event kind.
+_KIND_TEXTS = {kind: f',"kind":"{kind}"' for kind in EVENT_KINDS}
+
+
 def _record_json(record: Dict[str, object]) -> str:
     """One event record as a compact JSON line (without the newline):
     byte for byte what ``json.dumps`` of its :func:`_json_safe` form
@@ -230,6 +240,10 @@ class Tracer(_TypedEmitters):
         #: Emission count per event kind.
         self.counts: Dict[str, int] = {}
         self.enabled = True
+        #: JSON texts of streamed ``float``/``str`` values, and the
+        #: ``,"name":`` texts of field names (see :meth:`emit`).
+        self._texts: Dict[object, str] = {}
+        self._names: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -261,9 +275,16 @@ class Tracer(_TypedEmitters):
         :data:`EVENT_KINDS` and no field may be named ``t``.
 
         One frame per event: the kind is validated the first time it is
-        counted, a :class:`TraceEvent` is built only when events are
-        retained, and the JSONL line is one call into the prebuilt C
-        encoder (see :func:`_record_json`, inlined here).
+        counted, and a :class:`TraceEvent` is built only when events are
+        retained.  A streamed line is concatenated from the texts of its
+        scalars: an exact ``float`` or ``str`` is looked up in the
+        tracer's memo of JSON texts (filled on a miss, cleared at
+        :data:`_MEMO_BOUND` entries), an exact ``int``, a ``bool`` or
+        ``None`` is rendered inline, and field names come from a second
+        memo.  Any other value -- a non-finite float, a subclass, a
+        container -- sends the whole record to the prebuilt C encoder
+        (see :func:`_record_json`, inlined here).  Either way the line is
+        byte for byte what ``json.dumps`` gives.
         """
         if not self.enabled:
             return
@@ -285,13 +306,65 @@ class Tracer(_TypedEmitters):
             events.append(TraceEvent(time, kind, fields))
         self.emitted += 1
         counts[kind] = count + 1
-        if self._sink is not None:
-            record = {"t": time, "kind": kind, **fields}
-            try:
-                line = "".join(_STRICT(record, 0))
-            except ValueError:
-                line = _non_finite_json(record)
-            self._sink.write(line + "\n")
+        sink = self._sink
+        if sink is None:
+            return
+        # The memos are keyed by value, and a dict does not tell 1, 1.0
+        # and True apart, nor 0.0 and -0.0: only exact floats and strs
+        # are looked up, and zeros are never stored.  NaN never equals
+        # a key, and no non-finite float is stored.
+        texts = self._texts
+        names = self._names
+        line = _KIND_TEXTS[kind]
+        for key, value in fields.items():
+            cls = type(value)
+            if cls is float or cls is str:
+                text = texts.get(value)
+                if text is None:
+                    if cls is str:
+                        text = encode_basestring_ascii(value)
+                    elif math.isfinite(value):
+                        text = repr(value)
+                    else:
+                        break
+                    if value:
+                        if len(texts) >= _MEMO_BOUND:
+                            texts.clear()
+                        texts[value] = text
+            elif cls is int:
+                text = repr(value)
+            elif cls is bool:
+                text = "true" if value else "false"
+            elif value is None:
+                text = "null"
+            else:
+                break
+            name = names.get(key)
+            if name is None:
+                if len(names) >= _MEMO_BOUND:
+                    names.clear()
+                name = names[key] = f",{encode_basestring_ascii(key)}:"
+            line += name + text
+        else:
+            # The sim time, with the same memo; any other time takes the
+            # C encoder below.
+            if type(time) is float:
+                text = texts.get(time)
+                if text is None and math.isfinite(time):
+                    text = repr(time)
+                    if time:
+                        if len(texts) >= _MEMO_BOUND:
+                            texts.clear()
+                        texts[time] = text
+                if text is not None:
+                    sink.write('{"t":' + text + line + "}\n")
+                    return
+        record = {"t": time, "kind": kind, **fields}
+        try:
+            line = "".join(_STRICT(record, 0))
+        except ValueError:
+            line = _non_finite_json(record)
+        sink.write(line + "\n")
 
     # ------------------------------------------------------------------
     # Access and export
@@ -326,23 +399,24 @@ class Tracer(_TypedEmitters):
         Each line is parsed and re-emitted through :meth:`emit`, so
         retention, per-kind counts, and the sink observe absorbed events
         exactly as if they had been emitted locally.  Serialization
-        round-trips byte-exactly: the worker and this tracer encode with
-        the same prebuilt encoders, float formatting is shortest-repr
+        round-trips byte-exactly: float formatting is shortest-repr
         stable, and the non-finite string encodings of
         :func:`_json_safe` are revived with the :func:`read_jsonl`
-        rules before re-encoding.
+        rules before re-encoding.  A line that is not a JSON object
+        with a numeric ``t`` and a known ``kind`` raises
+        :class:`ValueError` naming its line number.
         """
         count = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(lines, start=1):
+            record = _parse_line(line, f"line {number}")
+            if record is None:
                 continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("trace line is not a JSON object")
-            record = _revive(record)
-            time = record.pop("t")
-            kind = record.pop("kind")
+            time = record.pop("t", None)
+            kind = record.pop("kind", None)
+            if type(time) not in (int, float) or kind not in EVENT_KINDS:
+                raise ValueError(
+                    f"line {number}: trace line needs a numeric 't' "
+                    "and a known 'kind'")
             self.emit(time, kind, **record)
             count += 1
         return count
@@ -454,17 +528,24 @@ def read_jsonl(path) -> List[Dict[str, object]]:
     records = []
     with open(path) as handle:
         for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{number}: malformed trace line "
-                    f"({error.msg})") from error
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{number}: trace line is not a JSON object")
-            records.append(_revive(record))
+            record = _parse_line(line, f"{path}:{number}")
+            if record is not None:
+                records.append(record)
     return records
+
+
+def _parse_line(line: str, where: str) -> Optional[Dict[str, object]]:
+    """One JSONL trace line as a revived event dict, ``None`` for a
+    blank line; ``where`` prefixes the :class:`ValueError` a malformed
+    line raises."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as error:
+        raise ValueError(
+            f"{where}: malformed trace line ({error.msg})") from error
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: trace line is not a JSON object")
+    return _revive(record)

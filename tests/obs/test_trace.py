@@ -1,5 +1,6 @@
 """Tracer unit tests: typed events, ring buffer, JSONL export."""
 
+import io
 import json
 import math
 
@@ -157,6 +158,27 @@ def test_read_jsonl_rejects_corruption(tmp_path):
     path.write_text('[1, 2, 3]\n')
     with pytest.raises(ValueError, match="not a JSON object"):
         read_jsonl(path)
+
+
+@pytest.mark.parametrize("bad", [
+    '{"kind": "kick"}',                  # no time
+    '{"t": 0.1}',                        # no kind
+    '{"t": "x", "kind": "kick"}',        # a time that is no number
+    '{"t": true, "kind": "kick"}',
+    '{"t": 0.1, "kind": "tick"}',        # a kind outside the vocabulary
+    '{"t": 0.1, "kind": ["kick"]}',
+    '{"t": 0.1, "ki',                    # not JSON
+    '[0.1, "kick"]',                     # not an object
+])
+def test_absorb_jsonl_names_the_bad_line(bad):
+    sink = io.StringIO()
+    tracer = Tracer(capacity=0, sink=sink)
+    good = '{"t":0.0,"kind":"kick"}'
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        tracer.absorb_jsonl([good, "", bad, good])
+    # Lines before the bad one were absorbed; nothing after it was.
+    assert sink.getvalue() == good + "\n"
+    assert tracer.emitted == 1
 
 
 def test_streaming_sink_writes_as_events_happen(tmp_path):

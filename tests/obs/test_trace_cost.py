@@ -3,9 +3,11 @@
 Under ``sys.setprofile`` one event streamed to a JSONL sink makes at
 most two Python calls through a :class:`Tracer` (the typed emitter and
 ``emit``) and three through a :class:`LabelledTracer`, however deeply
-views nest: the record dict and its line are built by one call into a
-prebuilt C encoder, and no :class:`TraceEvent` is allocated.  The count
-is exact, so the guard is deterministic.
+views nest.  ``emit`` concatenates the line from memoized texts of its
+scalars; the memo lookups and fills, the inline rendering of ints,
+bools and ``None``, and the C encoder it falls back on enter no Python
+frame, and no :class:`TraceEvent` is allocated.  The count is exact, so
+the guard is deterministic.
 """
 
 from __future__ import annotations
