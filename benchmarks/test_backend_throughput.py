@@ -1,7 +1,8 @@
-"""Registry-backend throughput: reference vs hardware vs fast.
+"""Registry-backend throughput: reference vs hardware.
 
-Records primitive-op throughput for the three main ordered-list engines
-at N in {256, 1024, 4096} into ``bench_results/backend_throughput.txt``.
+Records primitive-op throughput for the semantic oracle and the
+cycle-accurate hardware model at N in {256, 1024, 4096} into
+``bench_results/backend_throughput.txt``.
 
 Both numeric columns come from **one instrumented pass** per
 (backend, size): the op stream is driven through a
@@ -13,11 +14,6 @@ which made them mutually inconsistent — ``avg_op_us`` implied a
 different ops/sec than the ``ops_per_sec`` column showed.  The columns
 now satisfy ``ops_per_sec ~= 1e6 / avg_op_us`` up to loop overhead
 outside the traced calls.
-
-The headline assertion floor (fast >= 2x the reference oracle at
-N = 4096) is deliberately below the typically measured ~5x: the shared
-tracing overhead compresses ratios at small N, and this box's wall
-clock is noisy enough (±30% run to run) that a tight floor would flake.
 """
 
 import random
@@ -32,7 +28,7 @@ from repro.experiments.scheduling_rate import software_ops_per_sec
 from repro.obs import MetricsRegistry, TracedList
 
 SIZES = (256, 1_024, 4_096)
-BACKENDS = ("reference", "hardware", "fast")
+BACKENDS = ("reference", "hardware")
 OPERATIONS = 20_000
 
 
@@ -96,19 +92,13 @@ def _throughput_table() -> Table:
                    "up to loop overhead outside the traced calls. The "
                    "cycle-accurate model beats the oracle at larger N "
                    "despite per-op accounting (O(sqrt N) sublist walks "
-                   "vs the oracle's linear eligibility scan); the fast "
-                   "engine drops the accounting too and wins across the "
-                   "board.")
+                   "vs the oracle's linear eligibility scan).")
     return table
 
 
 def test_backend_throughput_table(benchmark, save_table):
     table = benchmark.pedantic(_throughput_table, rounds=1, iterations=1)
     save_table("backend_throughput", table)
-    speedup = {(row[0], row[1]): row[3] for row in table.rows}
-    assert speedup[("fast", 4_096)] >= 2.0, (
-        "fast engine must be >= 2x the reference oracle at N=4096 under "
-        "instrumentation; table:\n" + table.to_text())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,7 +1,7 @@
 """Observability overhead: raw backend vs TracedList (null and live).
 
-Measures mixed primitive-op throughput for each software backend in
-three configurations:
+Measures mixed primitive-op throughput for the reference oracle and the
+hardware model in three configurations:
 
 * ``raw`` — the bare backend from the registry;
 * ``traced-null`` — wrapped in :class:`TracedList` with the default
@@ -25,7 +25,7 @@ from repro.core.element import Element
 from repro.experiments.runner import Table
 from repro.obs import MetricsRegistry, TracedList, Tracer
 
-BACKENDS = ("reference", "hardware", "fast")
+BACKENDS = ("reference", "hardware")
 CAPACITY = 1_024
 OPERATIONS = 20_000
 ROUNDS = 3  # best-of to damp scheduler noise

@@ -15,7 +15,7 @@ from repro import Element, PifoHardwareList, make_list
 def primitive_basics() -> None:
     print("=== PIEO primitive: enqueue(f) / dequeue() / dequeue(f) ===")
     # Ordered lists come from the backend registry; swap "reference" for
-    # "fast" (big simulations) or "hardware" (cycle accounting) freely.
+    # "hardware" (cycle accounting) freely.
     pieo = make_list("reference")
 
     # Each element carries a programmable rank (scheduling order) and a

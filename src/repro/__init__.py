@@ -2,23 +2,21 @@
 
 A complete Python reproduction of Shrivastav, SIGCOMM 2019: the PIEO
 (Push-In-Extract-Out) scheduling primitive, a cycle-accurate model of its
-O(sqrt(N)) hardware design, a fast software engine for big simulations,
-the PIFO and FIFO baselines, the programming framework with every
-scheduling algorithm from the paper, a discrete-event network substrate,
-and the full evaluation harness.
+O(sqrt(N)) hardware design, the PIFO and FIFO baselines, the
+programming framework with every scheduling algorithm from the paper, a
+discrete-event network substrate, and the full evaluation harness.
 
 Quickstart
 ----------
 >>> from repro import Element, make_list
->>> pieo = make_list("fast")
+>>> pieo = make_list("reference")
 >>> pieo.enqueue(Element(flow_id="a", rank=10, send_time=5))
 >>> pieo.enqueue(Element(flow_id="b", rank=3, send_time=50))
 >>> pieo.dequeue(now=7).flow_id   # "b" has smaller rank but is ineligible
 'a'
 
-The same call with ``"reference"`` or ``"hardware"`` swaps in the
-semantic oracle or the cycle-accurate hardware model — see
-:mod:`repro.core.backends`.
+The same call with ``"hardware"`` swaps the semantic oracle for the
+cycle-accurate hardware model — see :mod:`repro.core.backends`.
 """
 
 from repro._lazy import lazy_namespace
@@ -31,7 +29,6 @@ _EXPORTS = {
                             "make_factory", "make_list",
                             "register_backend", "unregister_backend"),
     "repro.core.element": ("ALWAYS_ELIGIBLE", "NEVER_ELIGIBLE", "Element"),
-    "repro.core.fastlist": ("FastPieo",),
     "repro.core.instrumentation": ("Instrumentation", "NullInstrumentation",
                                    "NULL_INSTRUMENTATION"),
     "repro.core.interfaces": ("OrderedList", "PieoList"),

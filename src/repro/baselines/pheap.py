@@ -96,9 +96,6 @@ class PHeap(PieoList):
         self.counters.charge_op("dequeue_min", cycles)
         return smallest
 
-    def peek_min(self) -> Optional[Element]:
-        return self._heap[0] if self._heap else None
-
     # ------------------------------------------------------------------
     # Extract-Out semantics — where the heap structure stops helping
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.conformance check --algorithm wf2q+
     python -m repro.conformance check --algorithm drr --seed 3 \\
-        --backend fast
+        --backend hardware
     python -m repro.conformance check --trace fig11.jsonl
     python -m repro.conformance check --algorithm drr --inject reorder
     python -m repro.conformance sweep
@@ -26,11 +26,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.conformance.metamorphic import (TRANSFORMS,
+from repro.conformance.metamorphic import (SUBSTITUTIONS, TRANSFORMS,
                                            metamorphic_verdicts)
 from repro.conformance.runner import (INJECTIONS, ConformanceReport,
-                                      check_algorithm, check_trace,
-                                      sweep_registry)
+                                      check_algorithm, check_trace)
 from repro.conformance.scenarios import SCENARIOS, make_scenario
 from repro.sched.registry import available_algorithms, get_algorithm
 
@@ -86,9 +85,8 @@ def _cmd_sweep(args) -> int:
         if args.metamorphic:
             spec = get_algorithm(name).spec
             scenario = make_scenario(spec.scenario, seed=args.seed)
-            result = metamorphic_verdicts(
-                name, scenario,
-                substitutions=[{"backend": "fast"}])
+            result = metamorphic_verdicts(name, scenario,
+                                          substitutions=SUBSTITUTIONS)
             _print_report(result.base, args.verbose)
             for label in sorted(result.transformed):
                 held = result.transformed[label].verdicts()

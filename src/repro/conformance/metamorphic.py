@@ -90,6 +90,11 @@ TRANSFORMS: Dict[str, Callable[[Scenario], Scenario]] = {
 }
 
 
+#: The backend substitutions of the metamorphic sweep: the Section 5
+#: hardware design must depart every byte exactly as the oracle does.
+SUBSTITUTIONS: Sequence[Dict[str, str]] = ({"backend": "hardware"},)
+
+
 def apply_transform(name: str, scenario: Scenario) -> Scenario:
     return TRANSFORMS[name](scenario)
 
@@ -119,7 +124,7 @@ def metamorphic_verdicts(
     substitution; collect verdict mismatches.
 
     ``substitutions`` are ``run_scenario`` keyword dicts (e.g.
-    ``{"backend": "fast"}``); besides preserved verdicts these demand
+    ``{"backend": "hardware"}``); besides preserved verdicts these demand
     *byte-identical* departures, since backends promise exact
     semantics, not just bound-level equivalence.
     """

@@ -32,7 +32,7 @@ Builders (registered in ``SCENARIOS``):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import (Callable, Dict, Hashable, List, Optional, Tuple)
 
 #: Slot plan matching the registry's TDMA default (100us slots, 8-slot
@@ -70,12 +70,6 @@ class Scenario:
 
     def weights(self) -> Dict[Hashable, float]:
         return {flow.flow_id: flow.weight for flow in self.flows}
-
-    def max_size_bytes(self) -> int:
-        return max((size for _, _, size in self.arrivals), default=0)
-
-    def with_arrivals(self, arrivals) -> "Scenario":
-        return replace(self, arrivals=tuple(arrivals))
 
 
 _SIZES = (500, 1000, 1500)

@@ -10,7 +10,6 @@ _EXPORTS = {
                             "register_backend", "unregister_backend"),
     "repro.core.element": ("ALWAYS_ELIGIBLE", "NEVER_ELIGIBLE", "Element",
                            "Rank", "Time"),
-    "repro.core.fastlist": ("FastPieo",),
     "repro.core.instrumentation": ("NULL_INSTRUMENTATION",
                                    "Instrumentation",
                                    "NullInstrumentation"),

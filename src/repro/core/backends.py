@@ -8,7 +8,7 @@ lists here, so swapping the engine under an entire simulation is a
 one-word config change::
 
     from repro.core.backends import make_list
-    pieo = make_list("fast", capacity=4096)
+    pieo = make_list("hardware", capacity=4096)
 
 Built-in backends
 -----------------
@@ -18,13 +18,7 @@ Built-in backends
 ``"hardware"``
     :class:`~repro.core.pieo.PieoHardwareList` — the cycle-accurate
     O(sqrt N) model of the Section 5 design, charging cycles/SRAM/
-    comparators per operation.  Config: ``sublist_size``, ``self_check``,
-    ``instrument`` (``False`` swaps in a no-op
-    :class:`~repro.core.instrumentation.NullInstrumentation`).
-``"fast"``
-    :class:`~repro.core.fastlist.FastPieo` — exact semantics on an
-    index-accelerated chunked structure with no accounting; the engine
-    for big simulations.  Config: ``chunk_size``.
+    comparators per operation.  Config: ``sublist_size``, ``self_check``.
 ``"pifo-design"``
     :class:`~repro.core.pifo.PifoDesignPieoList` — footnote 7: PIEO
     semantics on PIFO's O(N) flip-flop design.
@@ -128,8 +122,7 @@ def make_list(name: str = DEFAULT_BACKEND,
     ``capacity=None`` asks for an unbounded list; backends that require a
     bound (the hardware models) get :data:`DEFAULT_CAPACITY` instead.
     Remaining keyword arguments are backend-specific config (e.g.
-    ``sublist_size=8`` for ``"hardware"``, ``chunk_size=32`` for
-    ``"fast"``).
+    ``sublist_size=8`` for ``"hardware"``).
     """
     spec = get_backend(name)
     if capacity is None and not spec.unbounded_ok:
@@ -159,20 +152,10 @@ def _reference_factory(capacity: Optional[int]) -> PieoList:
 
 def _hardware_factory(capacity: Optional[int],
                       sublist_size: Optional[int] = None,
-                      self_check: bool = False,
-                      instrument: bool = True) -> PieoList:
-    from repro.core.instrumentation import NULL_INSTRUMENTATION
+                      self_check: bool = False) -> PieoList:
     from repro.core.pieo import PieoHardwareList
-    instrumentation = None if instrument else NULL_INSTRUMENTATION
     return PieoHardwareList(capacity, sublist_size=sublist_size,
-                            self_check=self_check,
-                            instrumentation=instrumentation)
-
-
-def _fast_factory(capacity: Optional[int],
-                  chunk_size: Optional[int] = None) -> PieoList:
-    from repro.core.fastlist import DEFAULT_CHUNK_SIZE, FastPieo
-    return FastPieo(capacity, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE)
+                            self_check=self_check)
 
 
 def _pifo_design_factory(capacity: Optional[int]) -> PieoList:
@@ -204,9 +187,6 @@ register_backend(
 register_backend(
     "hardware", _hardware_factory, unbounded_ok=False,
     description="cycle-accurate O(sqrt N) model of the Section 5 design")
-register_backend(
-    "fast", _fast_factory,
-    description="index-accelerated software engine, no accounting")
 register_backend(
     "pifo-design", _pifo_design_factory, unbounded_ok=False,
     description="footnote 7: PIEO semantics on PIFO's O(N) design")

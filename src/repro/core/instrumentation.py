@@ -7,9 +7,8 @@ masters:
   paper's hardware design, so every primitive operation must charge
   cycles, SRAM ports, comparators, and encoders to an
   :class:`repro.core.opstats.OpCounters`;
-* the **software engines** (the reference oracle and the fast backend)
-  exist to *run simulations*, where per-operation accounting is pure
-  overhead.
+* the **software engine** (the reference oracle) exists to *run
+  simulations*, where per-operation accounting is pure overhead.
 
 :class:`Instrumentation` is the seam between the two: it names the
 charging interface that :class:`~repro.core.opstats.OpCounters` already
@@ -53,9 +52,9 @@ class Instrumentation(Protocol):
 class NullInstrumentation:
     """Accounting sink that records nothing.
 
-    Pass to a cycle-accurate model (or install via the backend registry's
-    ``instrument=False`` config) when only the model's *semantics* are
-    wanted and the charging overhead is not.
+    Pass to a cycle-accurate model's ``instrumentation`` parameter when
+    only the model's *semantics* are wanted and the charging overhead is
+    not.
     """
 
     def charge_op(self, name: str, cycles: int) -> None:

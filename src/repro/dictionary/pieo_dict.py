@@ -37,7 +37,7 @@ class PieoDict:
     backend:
         Either a backend *name* resolved through
         :mod:`repro.core.backends` (``"reference"``, ``"hardware"``,
-        ``"fast"``, ...) or an explicit :class:`PieoList` instance to
+        ...) or an explicit :class:`PieoList` instance to
         store entries in.  Pass ``"hardware"`` to run the dictionary on
         the cycle-accurate hardware model.
     """

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments                  # everything
     python -m repro.experiments fig11            # one experiment by keyword
-    python -m repro.experiments --backend fast rate
+    python -m repro.experiments --backend hardware rate
     python -m repro.experiments --list-backends
     python -m repro.experiments fig11 --trace t.jsonl --metrics m.json
     python -m repro.experiments fig11 --trace t.jsonl --analyze

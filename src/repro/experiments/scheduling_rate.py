@@ -7,9 +7,8 @@ cycles per op; at 80 MHz non-pipelined that is one op per 50 ns —
 ASIC at 1 GHz, 4 ns.
 
 Beyond the paper, :func:`software_rate_table` measures the *Python-side*
-throughput of the software ordered-list backends (selected through
-:mod:`repro.core.backends`), quantifying what the fast engine buys for
-large simulations relative to the reference oracle.
+throughput of an ordered-list backend (selected through
+:mod:`repro.core.backends`) relative to the reference oracle.
 """
 
 from __future__ import annotations
@@ -93,12 +92,13 @@ def software_ops_per_sec(backend: str, capacity: int,
 def software_rate_table(backend: Optional[str] = None,
                         sizes: Sequence[int] = (256, 1_024, 4_096),
                         operations: int = 20_000) -> Table:
-    """Python-side ops/sec of the software backends vs the reference.
+    """Python-side ops/sec of a registry backend vs the reference.
 
-    ``backend`` selects the engine under test (default ``"fast"``); the
-    reference oracle is always measured alongside as the baseline.
+    ``backend`` selects the engine under test (default ``"reference"``,
+    which measures the oracle alone); the reference oracle is always
+    measured alongside as the baseline.
     """
-    backend = backend or "fast"
+    backend = backend or "reference"
     table = Table(
         title=("Software backend throughput (Python-side primitive "
                "ops/sec; registry backends)"),
@@ -111,10 +111,9 @@ def software_rate_table(backend: Optional[str] = None,
             measured = software_ops_per_sec(backend, size, operations)
             table.add_row(backend, size, round(measured),
                           round(measured / baseline, 1))
-    table.add_note("Identical random op mix per size (seeded); the fast "
-                   "backend's chunked rank index and min-send-time "
-                   "summaries remove the reference oracle's linear "
-                   "eligibility scan.")
+    table.add_note("Identical random op mix per size (seeded); pass "
+                   "--backend NAME to measure another registry backend "
+                   "against the reference oracle.")
     return table
 
 

@@ -97,12 +97,6 @@ class PipelineReport:
     speedup: float
     issue_interval: float
 
-    @property
-    def ops_per_cycle(self) -> float:
-        if self.pipelined_cycles == 0:
-            return 0.0
-        return self.num_ops / self.pipelined_cycles
-
 
 def pipeline_report(num_ops: int = 1000) -> PipelineReport:
     serial = nonpipelined_total_cycles(num_ops)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.topology import Topology
@@ -60,9 +60,6 @@ class RoutingTable:
             raise ConfigurationError(
                 f"no route from {node!r} to {dst!r}")
         return hops
-
-    def has_route(self, node: str, dst: str) -> bool:
-        return node == dst or (node, dst) in self._next_hops
 
 
 def build_routes(topology: Topology) -> RoutingTable:

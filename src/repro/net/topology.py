@@ -101,9 +101,6 @@ class Topology:
     def is_host(self, name: str) -> bool:
         return name in set(self.hosts)
 
-    def is_switch(self, name: str) -> bool:
-        return name in set(self.switches)
-
     def neighbors(self, name: str) -> List[str]:
         """Out-neighbors, sorted (the sort is load-bearing: routing
         tie-breaks follow it)."""

@@ -796,11 +796,6 @@ class TraceAnalysis:
     # ------------------------------------------------------------------
     # Hardware-cost attribution
     # ------------------------------------------------------------------
-    def op_counts(self) -> Dict[Hashable, int]:
-        """Ordered-list operations (enqueues + dequeues) per flow or
-        hierarchy-node id observed in the trace."""
-        return dict(self._op_counts)
-
     def cost_attribution(self, counters_snapshot: Dict[str, float],
                          ) -> Dict[Hashable, Dict[str, float]]:
         """Join a backend :class:`~repro.core.opstats.OpCounters`

@@ -6,7 +6,7 @@ and a metrics registry (per-op wall-clock latency histograms plus a
 resident-depth gauge), without touching the inner engine's semantics.
 Registered in :mod:`repro.core.backends` as the ``"traced"`` backend::
 
-    make_list("traced", inner="fast", tracer=tracer, metrics=registry)
+    make_list("traced", inner="hardware", tracer=tracer, metrics=registry)
 
 With the default null tracer/metrics the wrapper detects that nobody is
 listening and shadows its instrumented methods with the inner engine's

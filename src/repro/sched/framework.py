@@ -238,7 +238,7 @@ class PieoScheduler:
     backend:
         Ordered-list backend name resolved through
         :mod:`repro.core.backends` (``"reference"``, ``"hardware"``,
-        ``"fast"``, ...).  Defaults to the registry default; mutually
+        ...).  Defaults to the registry default; mutually
         exclusive with ``ordered_list``.  ``backend_config`` carries
         backend-specific options (e.g. ``{"sublist_size": 8}``).
     trigger:

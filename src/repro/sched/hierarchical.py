@@ -128,7 +128,7 @@ class HierarchicalScheduler:
     backend:
         Ordered-list backend name resolved through
         :mod:`repro.core.backends` (``"reference"``, ``"hardware"``,
-        ``"fast"``, ...), with backend-specific options in
+        ...), with backend-specific options in
         ``backend_config``.  Mutually exclusive with ``list_factory``;
         defaults to the registry default.
 

@@ -93,11 +93,6 @@ class FlowQueue:
         self._backlog_bytes -= packet.size_bytes
         return packet
 
-    def note_drop(self, packet: Packet) -> None:
-        """Account an arrival rejected before it entered the queue."""
-        self.packets_dropped += 1
-        self.bytes_dropped += packet.size_bytes
-
     @property
     def head(self) -> Optional[Packet]:
         return self.queue[0] if self.queue else None

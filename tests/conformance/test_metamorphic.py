@@ -8,13 +8,11 @@ algorithm x every transform x backend substitution) is
 
 import pytest
 
-from repro.conformance.metamorphic import (TRANSFORMS, apply_transform,
+from repro.conformance.metamorphic import (SUBSTITUTIONS, TRANSFORMS,
+                                           apply_transform,
                                            metamorphic_verdicts)
 from repro.conformance.scenarios import make_scenario
 from repro.sched.registry import available_algorithms, get_spec
-
-SUBSTITUTIONS = [{"backend": "fast"}]
-
 
 def test_scale_time_rescales_everything_consistently():
     scenario = make_scenario("slotted")
@@ -71,7 +69,7 @@ def test_drr_battery_preserves_verdicts():
                                   substitutions=SUBSTITUTIONS)
     assert result.passed, result.mismatches
     assert set(result.transformed) == (
-        set(TRANSFORMS) | {"backend=fast"})
+        set(TRANSFORMS) | {"backend=hardware"})
 
 
 @pytest.mark.slow

@@ -5,8 +5,6 @@ to integrate on paper; the oracle must reproduce it exactly (to float
 tolerance), since the conformance checkers inherit its precision.
 """
 
-import math
-
 import pytest
 
 from repro.conformance.oracle import (gps_finish_times,

@@ -88,39 +88,3 @@ def test_all_registered_backends_agree(seed):
         min_sends = [impl.min_send_time() for impl in impls]
         assert all(m == min_sends[0] for m in min_sends), \
             f"{where} min_send={min_sends}"
-
-
-@pytest.mark.parametrize("seed", SEEDS[:2])
-def test_fast_backend_odd_chunk_sizes_agree(seed):
-    """The fast engine's split/merge bookkeeping must be size-agnostic:
-    tiny chunks force constant splitting."""
-    rng = random.Random(seed)
-    reference = make_list("reference", capacity=CAPACITY)
-    tiny = make_list("fast", capacity=CAPACITY, chunk_size=2)
-    odd = make_list("fast", capacity=CAPACITY, chunk_size=5)
-    impls = [reference, tiny, odd]
-    next_flow = 0
-    for step in range(OPS_PER_SEED):
-        op = _generate_op(rng)
-        if op[0] == "enqueue":
-            if len(reference) >= CAPACITY:
-                continue
-            _, rank, send_time, group = op
-            for impl in impls:
-                impl.enqueue(Element(next_flow, rank=rank,
-                                     send_time=send_time, group=group))
-            next_flow += 1
-            continue
-        if op[0] == "dequeue":
-            results = [impl.dequeue(op[1]) for impl in impls]
-        elif op[0] == "dequeue_grouped":
-            _, now, lo, hi = op
-            results = [impl.dequeue(now, group_range=(lo, hi))
-                       for impl in impls]
-        else:
-            target = op[1] % (next_flow + 1)
-            results = [impl.dequeue_flow(target) for impl in impls]
-        ids = [(result.flow_id if result is not None else None)
-               for result in results]
-        assert all(one == ids[0] for one in ids), \
-            f"seed={seed} step={step} op={op} results={ids}"

@@ -9,7 +9,6 @@ from repro.core.backends import (DEFAULT_BACKEND, DEFAULT_CAPACITY,
                                  make_factory, make_list, register_backend,
                                  unregister_backend)
 from repro.core.element import Element
-from repro.core.fastlist import FastPieo
 from repro.core.instrumentation import (NULL_INSTRUMENTATION,
                                         NullInstrumentation)
 from repro.core.opstats import OpCounters
@@ -21,7 +20,7 @@ from repro.errors import CapacityError, ConfigurationError
 
 def test_builtin_backends_registered():
     names = available_backends()
-    for name in ("reference", "hardware", "fast", "pifo-design", "pheap"):
+    for name in ("reference", "hardware", "pifo-design", "pheap"):
         assert name in names
     assert DEFAULT_BACKEND == "reference"
 
@@ -29,7 +28,6 @@ def test_builtin_backends_registered():
 def test_make_list_instantiates_expected_classes():
     assert isinstance(make_list("reference"), ReferencePieo)
     assert isinstance(make_list("hardware", capacity=64), PieoHardwareList)
-    assert isinstance(make_list("fast"), FastPieo)
     assert isinstance(make_list("pifo-design", capacity=16),
                       PifoDesignPieoList)
     assert isinstance(make_list("pheap", capacity=16), PHeap)
@@ -40,7 +38,7 @@ def test_unknown_backend_names_the_alternatives():
         get_backend("bogus")
     message = str(excinfo.value)
     assert "bogus" in message
-    assert "reference" in message and "fast" in message
+    assert "reference" in message and "hardware" in message
 
 
 def test_duplicate_registration_rejected_without_overwrite():
@@ -69,7 +67,7 @@ def test_bounded_only_backends_get_default_capacity():
 
 
 def test_capacity_is_enforced_through_the_registry():
-    pieo = make_list("fast", capacity=2)
+    pieo = make_list("pheap", capacity=2)
     pieo.enqueue(Element("a", rank=1))
     pieo.enqueue(Element("b", rank=2))
     with pytest.raises(CapacityError):
@@ -79,13 +77,11 @@ def test_capacity_is_enforced_through_the_registry():
 def test_backend_config_passes_through():
     hardware = make_list("hardware", capacity=64, sublist_size=4)
     assert hardware.sublist_size == 4
-    fast = make_list("fast", chunk_size=8)
-    assert fast._chunk_size == 8
 
 
 def test_hardware_instrument_flag_selects_null_instrumentation():
     charged = make_list("hardware", capacity=16)
-    silent = make_list("hardware", capacity=16, instrument=False)
+    silent = PieoHardwareList(16, instrumentation=NULL_INSTRUMENTATION)
     assert isinstance(charged.counters, OpCounters)
     assert isinstance(silent.counters, NullInstrumentation)
     for pieo in (charged, silent):
@@ -97,7 +93,7 @@ def test_hardware_instrument_flag_selects_null_instrumentation():
 
 
 def test_make_factory_builds_fresh_instances():
-    factory = make_factory("fast", chunk_size=4)
+    factory = make_factory("hardware", sublist_size=4)
     first, second = factory(8), factory(8)
     assert first is not second
     first.enqueue(Element("a", rank=1))

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.element import Element
-from repro.core.fastlist import FastPieo
 from repro.core.pieo import PieoHardwareList
 from repro.core.pifo import PifoDesignPieoList
 from repro.core.reference import ReferencePieo
@@ -67,17 +66,6 @@ def _assert_same(results):
 def test_hardware_matches_reference(ops):
     apply_ops(ops, [ReferencePieo(CAPACITY),
                     PieoHardwareList(CAPACITY, self_check=True)])
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(operation, max_size=120),
-       st.integers(min_value=2, max_value=6))
-def test_fast_engine_matches_reference(ops, chunk_size):
-    """The index-accelerated engine under constant chunk churn (tiny
-    chunk sizes force splits) must match the oracle exactly."""
-    apply_ops(ops, [ReferencePieo(CAPACITY),
-                    FastPieo(CAPACITY, chunk_size=chunk_size)])
 
 
 @settings(max_examples=75, deadline=None,

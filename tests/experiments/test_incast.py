@@ -3,8 +3,6 @@ and the CLI flags that drive it."""
 
 import io
 
-import pytest
-
 from repro.experiments.incast import (DEFAULT_BUFFER_KIB, HOT_PORT,
                                       build_incast, incast_table)
 from repro.experiments.__main__ import main

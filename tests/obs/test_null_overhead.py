@@ -10,6 +10,7 @@ singletons untouched and produce byte-identical scheduling behaviour.
 from repro.core.backends import make_list
 from repro.core.element import Element
 from repro.core.instrumentation import NULL_INSTRUMENTATION
+from repro.core.pieo import PieoHardwareList
 from repro.obs import (NULL_METRICS, NULL_TRACER, MetricsRegistry,
                        NullMetrics, NullTracer, TracedList, Tracer)
 from repro.sched import PieoScheduler, WF2Qplus
@@ -111,7 +112,7 @@ def test_traced_list_delegates_backend_extras():
 def test_null_instrumentation_alignment():
     """The obs null family and the hardware-model null instrumentation
     make the same promise: zero recorded state on the default path."""
-    silent = make_list("hardware", capacity=16, instrument=False)
+    silent = PieoHardwareList(16, instrumentation=NULL_INSTRUMENTATION)
     silent.enqueue(Element("a", rank=1, send_time=0))
     silent.dequeue(now=0)
     assert silent.counters is NULL_INSTRUMENTATION

@@ -4,8 +4,6 @@ the ``--switch`` filter."""
 
 import json
 
-import pytest
-
 from repro.net import Fabric
 from repro.net.topology import leaf_spine
 from repro.obs import Tracer

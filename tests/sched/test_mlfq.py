@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sched import MultiLevelFeedbackQueue, PieoScheduler
-from repro.sim import FlowQueue, Packet, gbps
+from repro.sim import FlowQueue, Packet
 
 from tests.scenarios import FlatRun
 

@@ -25,7 +25,6 @@ FORBIDDEN = (
     "repro.dictionary",
     "repro.obs.analyze",
     "repro.obs.export",
-    "repro.core.fastlist",
     "repro.core.pieo",
     "repro.core.pifo",
 )
