@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 from typing import Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.experiments.runner import Table, point_seed, run_sweep
 from repro.obs import Tracer
 from repro.obs.heartbeat import NULL_HEARTBEAT
@@ -65,8 +66,15 @@ def build_incast(sim: Simulator, buffer_bytes: int,
     senders (0.5 load).  All ports share one ``buffer_bytes`` memory
     under ``drop_policy``.  ``backend`` selects each scheduler's
     ordered-list engine (:mod:`repro.core.backends`; None means the
-    registry default) — a result-preserving substitution.
+    registry default) — a result-preserving substitution.  A
+    ``buffer_bytes`` below one MTU raises :class:`ConfigurationError`
+    (every sender's packets are MTU-sized, so all would be dropped).
     """
+    if buffer_bytes < MTU_BYTES:
+        raise ConfigurationError(
+            f"buffer_bytes={buffer_bytes} is smaller than one "
+            f"{MTU_BYTES} B packet: every incast packet would be "
+            "dropped")
     buffer = BufferManager(capacity_bytes=buffer_bytes,
                            policy=drop_policy,
                            tracer=tracer, metrics=metrics)

@@ -4,8 +4,11 @@ The orchestration layer.  One :class:`~repro.sim.events.Simulator`
 clocks every host NIC and switch port (cross-node event order is
 globally deterministic — the multi-engine contract of
 :mod:`repro.sim.dataplane` at fabric scale); transmissions hand off to
-the next hop through each port's ``on_departure`` hook, with delivery
-scheduled one propagation delay after the wire finishes.
+the next hop through each port's ``on_departure`` hook (bound once per
+``(node, next hop)`` to :meth:`Fabric._forward`), with delivery posted
+one propagation delay after the wire finishes straight to the next
+switch's ``ingest`` (or the host's receive).  Each build rejects a
+per-switch buffer smaller than one MTU.
 
 Per-switch shared buffers: each switch gets its **own**
 :class:`~repro.sim.buffer.BufferManager` (output-queued shared-memory
@@ -25,7 +28,8 @@ them for parent.child nodes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Optional
+from functools import partial
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.fct import FctCollector
@@ -56,6 +60,11 @@ class Fabric:
                  tracer=None, metrics=None,
                  label: bool = True) -> None:
         topology.validate()
+        if buffer_bytes is not None and buffer_bytes < MTU_BYTES:
+            raise ConfigurationError(
+                f"buffer_bytes={buffer_bytes} is smaller than one "
+                f"{MTU_BYTES} B packet: every full-size packet would be "
+                "dropped")
         self.topology = topology
         self.sim = sim if sim is not None else Simulator(
             tracer=tracer, metrics=metrics)
@@ -80,20 +89,29 @@ class Fabric:
             self.switches[name] = FabricSwitch(
                 name, self.sim, topology, self.routes,
                 self._five_tuple_of,
-                forward=lambda hop, packet, node=name:
-                    self._forward(node, hop, packet),
+                forward=partial(self._forward, name),
                 algorithm=algorithm, backend=backend, buffer=buffer,
                 seed=seed, tracer=tracer, metrics=metrics,
                 label=label, record_path=record_path)
         for name in topology.hosts:
             self.hosts[name] = Host(
                 name, self.sim, topology,
-                forward=lambda hop, packet, node=name:
-                    self._forward(node, hop, packet),
+                forward=partial(self._forward, name),
                 algorithm=(host_algorithm if host_algorithm is not None
                            else algorithm),
                 backend=backend, tracer=tracer, metrics=metrics,
                 label=label)
+        #: ``(node, next_node)`` -> ``(propagation delay, deliver)``,
+        #: where ``deliver(packet)`` is the next switch's ``ingest`` or
+        #: the arrival at a host.
+        self._hops: Dict[Tuple[str, str], Tuple[float, Callable]] = {}
+        for node in [*self.switches, *self.hosts]:
+            for next_node in topology.neighbors(node):
+                switch = self.switches.get(next_node)
+                deliver = switch.ingest if switch is not None \
+                    else partial(self._deliver, next_node)
+                self._hops[node, next_node] = (
+                    topology.link(node, next_node).delay_s, deliver)
 
     # -- flow identity --------------------------------------------------
     def _five_tuple_of(self, flow_id: Hashable) -> FiveTuple:
@@ -162,15 +180,11 @@ class Fabric:
         delay later."""
         finish = packet.departure_time
         self.collector.note_residence(node, finish - packet.arrival_time)
-        delay = self.topology.link(node, next_node).delay_s
-        self.sim.post(finish + delay,
-                      lambda: self._deliver(next_node, packet))
+        delay, deliver = self._hops[node, next_node]
+        self.sim.post(finish + delay, partial(deliver, packet))
 
     def _deliver(self, node: str, packet: Packet) -> None:
-        switch = self.switches.get(node)
-        if switch is not None:
-            switch.ingest(packet)
-            return
+        """A packet reached host ``node``."""
         if packet.dst != node:
             raise ConfigurationError(
                 f"packet for {packet.dst!r} delivered to host "

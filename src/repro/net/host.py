@@ -17,9 +17,11 @@ one-port switch.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.net.switch import first_arrival_sink
 from repro.net.topology import Topology
 from repro.obs.metrics import scoped
 from repro.obs.trace import labelled
@@ -27,7 +29,6 @@ from repro.sched.framework import PieoScheduler
 from repro.sched.registry import make_algorithm
 from repro.sim.dataplane import Dataplane
 from repro.sim.events import Simulator
-from repro.sim.flow import FlowQueue
 from repro.sim.packet import MTU_BYTES, Packet
 
 #: Default hop budget stamped on routed packets (standard IP default;
@@ -72,16 +73,17 @@ class Host:
         self.port = self.dataplane.add_port(
             self.uplink, make_scheduler=make_scheduler,
             link_rate_bps=link.rate_bps,
-            on_departure=lambda packet: forward(self.uplink, packet))
+            on_departure=partial(forward, self.uplink))
 
     # -- sending --------------------------------------------------------
     def inject(self, packet: Packet) -> None:
         """One routed packet into the NIC queue (flow lazily
         registered)."""
         flow_id = packet.flow_id
-        if self.port.flow_queue(flow_id) is None:
-            self.port.scheduler.add_flow(FlowQueue(flow_id))
-        self.dataplane.arrival_sink(flow_id, packet)
+        sink = self.dataplane.sinks.get(flow_id)
+        if sink is None:
+            sink = first_arrival_sink(self.dataplane, flow_id)
+        sink(flow_id, packet)
 
     def send_flow(self, flow_id: Hashable, dst: str, size_bytes: int,
                   ttl: int = DEFAULT_TTL,

@@ -7,14 +7,16 @@ engine) per outgoing topology link, an optional shared
 selection — and adds only what multi-hop needs:
 
 * the classifier is a :class:`NextHopClassifier` answering from the
-  routing table (ECMP per flow, cached — the choice is per-flow
-  constant, see :mod:`repro.net.routing`);
+  routing table (ECMP per flow — the choice is per-flow constant, see
+  :mod:`repro.net.routing`, so it is asked once per flow);
 * :meth:`ingest` decrements TTL (tracing an ``arrival`` + ``drop
   reason="ttl-expired"`` pair on expiry, so per-switch conservation
-  still balances), stamps hop-count / path provenance, and lazily
-  registers the flow's :class:`~repro.sim.flow.FlowQueue` at the
-  chosen output port (hosts open flows at runtime; pre-registering
-  every flow at every switch would defeat the point);
+  still balances), stamps hop-count / path provenance, and hands the
+  packet to its port's engine through the dataplane's per-flow sink
+  table; on a flow's first packet it classifies the flow and
+  registers its :class:`~repro.sim.flow.FlowQueue` at the chosen
+  output port (hosts open flows at runtime; pre-registering every
+  flow at every switch would defeat the point);
 * every component sees a ``switch=<name>``-labelled tracer view and a
   ``switch.<name>``-scoped metrics view, so one trace stream carries
   per-switch tracks that :mod:`repro.obs` splits back apart.
@@ -26,6 +28,7 @@ propagation delay.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Hashable, Optional
 
 from repro.net.routing import (FiveTuple, RoutingTable, ecmp_next_hop)
@@ -41,10 +44,21 @@ from repro.sim.flow import FlowQueue
 from repro.sim.packet import Packet
 
 
+def first_arrival_sink(dataplane: Dataplane, flow_id: Hashable):
+    """A flow's first packet at a node: classify the flow (which
+    caches its engine sink in ``dataplane.sinks``), register its
+    :class:`FlowQueue` at the chosen port, and return the sink."""
+    port = dataplane.bind_flow(flow_id)
+    if port.flow_queue(flow_id) is None:
+        port.scheduler.add_flow(FlowQueue(flow_id))
+    return port.arrival_sink
+
+
 class NextHopClassifier(Classifier):
     """Port-of-flow via the routing table: the output port id IS the
-    next-hop node name.  Lazily caches the per-flow ECMP choice (the
-    hash is per-flow constant, so the cache is semantics-free)."""
+    next-hop node name.  The ECMP hash is per-flow constant, as the
+    :class:`Classifier` contract asks, so the dataplane's per-flow
+    cache asks once per flow."""
 
     def __init__(self, node: str, routes: RoutingTable,
                  five_tuple_of: Callable[[Hashable], FiveTuple],
@@ -53,17 +67,11 @@ class NextHopClassifier(Classifier):
         self.routes = routes
         self.five_tuple_of = five_tuple_of
         self.seed = seed
-        self._cache: Dict[Hashable, str] = {}
 
     def port_of(self, flow_id: Hashable) -> str:
-        port = self._cache.get(flow_id)
-        if port is None:
-            flow = self.five_tuple_of(flow_id)
-            port = ecmp_next_hop(
-                self.routes.next_hops(self.node, flow.dst), self.node,
-                flow, seed=self.seed)
-            self._cache[flow_id] = port
-        return port
+        flow = self.five_tuple_of(flow_id)
+        return ecmp_next_hop(self.routes.next_hops(self.node, flow.dst),
+                             self.node, flow, seed=self.seed)
 
 
 class FabricSwitch:
@@ -105,8 +113,7 @@ class FabricSwitch:
             self.dataplane.add_port(
                 neighbor, make_scheduler=make_scheduler,
                 link_rate_bps=link.rate_bps,
-                on_departure=lambda packet, hop=neighbor:
-                    forward(hop, packet))
+                on_departure=partial(forward, neighbor))
 
     # -- traffic entry -------------------------------------------------
     def ingest(self, packet: Packet) -> None:
@@ -131,10 +138,10 @@ class FabricSwitch:
         if self.record_path and packet.path is not None:
             packet.path.append(self.name)
         flow_id = packet.flow_id
-        port = self.dataplane.ports[self.classifier.port_of(flow_id)]
-        if port.flow_queue(flow_id) is None:
-            port.scheduler.add_flow(FlowQueue(flow_id))
-        self.dataplane.arrival_sink(flow_id, packet)
+        sink = self.dataplane.sinks.get(flow_id)
+        if sink is None:
+            sink = first_arrival_sink(self.dataplane, flow_id)
+        sink(flow_id, packet)
 
     # -- reporting ------------------------------------------------------
     def conservation(self) -> Dict[str, int]:

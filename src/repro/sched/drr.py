@@ -12,6 +12,8 @@ customised, with the paper's deficit loop.
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.sched.base import SchedulingAlgorithm
 from repro.sched.framework import SchedulerContext
 from repro.sim.flow import FlowQueue
@@ -28,16 +30,22 @@ class DeficitRoundRobin(SchedulingAlgorithm):
             raise ValueError("quantum must be positive")
         self.quantum_bytes = quantum_bytes
 
-    def quanta(self, flow: FlowQueue) -> float:
-        return self.quantum_bytes * flow.weight
-
     def post_dequeue(self, ctx: SchedulerContext, flow: FlowQueue) -> None:
-        deficit = flow.state.get("deficit_counter", 0.0) + self.quanta(flow)
-        while not flow.is_empty and deficit >= flow.head_size():
-            deficit -= flow.head_size()
+        state = flow.state
+        deficit = (state.get("deficit_counter", 0.0)
+                   + self.quantum_bytes * flow.weight)
+        # A leaf flow's head size is read off its deque; a hierarchical
+        # class node (whose ``queue`` is a backlog flag) peeks its
+        # subtree for it.
+        leaf = type(flow.queue) is deque
+        while flow.queue:
+            size = flow.queue[0].size_bytes if leaf else flow.head_size()
+            if deficit < size:
+                break
+            deficit -= size
             ctx.transmit_head(flow)
-        if flow.is_empty:
-            flow.state["deficit_counter"] = 0.0
-        else:
-            flow.state["deficit_counter"] = deficit
+        if flow.queue:
+            state["deficit_counter"] = deficit
             ctx.reenqueue(flow)
+        else:
+            state["deficit_counter"] = 0.0

@@ -70,6 +70,11 @@ class DropPolicy:
         return False
 
 
+#: The base class's ``pre_admit``: a policy that keeps it vetoes
+#: nothing, and ``BufferManager.admit`` skips the call.
+_ADMIT_ALL = DropPolicy.pre_admit
+
+
 class TailDrop(DropPolicy):
     """Refuse arrivals once a capacity limit is hit (the default)."""
 
@@ -236,9 +241,11 @@ class BufferManager:
 
     ``admit(port_id, flow_id, packet, now)`` charges occupancy or emits
     a ``drop`` trace event and returns False; ``release`` credits it
-    back at transmission (ports wire this into the engine's
-    ``departure_hook``).  ``policy`` is a :class:`DropPolicy`, a
-    registered name, or None for tail-drop.
+    back at transmission (each :class:`~repro.sim.port.Port` binds
+    both to its port id as its engine's admission and release hooks).
+    ``policy`` is a :class:`DropPolicy`, a registered name, or None for
+    tail-drop.  The limits are plain attributes, read on every
+    admission: changing one takes effect at the next arrival.
     """
 
     def __init__(self, capacity_bytes: Optional[int] = None,
@@ -350,24 +357,42 @@ class BufferManager:
         ``drop`` trace event carrying the reason and port was emitted
         and drop counters were bumped).
         """
-        reason = self.policy.pre_admit(self, port_id, flow_id, packet)
-        if reason is None:
+        policy = self.policy
+        size = packet.size_bytes
+        reason = None
+        if type(policy).pre_admit is not _ADMIT_ALL:
+            reason = policy.pre_admit(self, port_id, flow_id, packet)
+        # Fast path: no carve-out is set and the shared memory has
+        # room.  Otherwise _violated names the first limit hit.  Every
+        # limit is read as it stands now, so changing one between
+        # admissions takes effect at the next arrival.
+        if reason is None and not (
+                self.per_flow_pkts is None
+                and self.per_flow_bytes is None
+                and self.per_port_pkts is None
+                and self.per_port_bytes is None
+                and (self.capacity_pkts is None
+                     or self.total_pkts + 1 <= self.capacity_pkts)
+                and (self.capacity_bytes is None
+                     or self.total_bytes + size <= self.capacity_bytes)):
             reason = self._violated(port_id, flow_id, packet)
-            if reason is not None and self.policy.make_room(
+            if reason is not None and policy.make_room(
                     self, port_id, flow_id, packet, reason):
                 reason = self._violated(port_id, flow_id, packet)
         if reason is not None:
             self._note_drop(port_id, flow_id, packet, reason, now)
             return False
-        size = packet.size_bytes
         self.total_bytes += size
         self.total_pkts += 1
-        self.port_bytes[port_id] = \
-            self.port_bytes.get(port_id, 0) + size
-        self.port_pkts[port_id] = self.port_pkts.get(port_id, 0) + 1
+        port_bytes = self.port_bytes
+        port_bytes[port_id] = port_bytes.get(port_id, 0) + size
+        port_pkts = self.port_pkts
+        port_pkts[port_id] = port_pkts.get(port_id, 0) + 1
         key = (port_id, flow_id)
-        self.flow_bytes[key] = self.flow_bytes.get(key, 0) + size
-        self.flow_pkts[key] = self.flow_pkts.get(key, 0) + 1
+        flow_bytes = self.flow_bytes
+        flow_bytes[key] = flow_bytes.get(key, 0) + size
+        flow_pkts = self.flow_pkts
+        flow_pkts[key] = flow_pkts.get(key, 0) + 1
         self.admitted += 1
         if self._metered:
             self._c_admitted.inc()
@@ -378,23 +403,25 @@ class BufferManager:
     def release(self, port_id: Hashable, flow_id: Hashable,
                 size_bytes: int) -> None:
         """Credit occupancy back (a packet left the buffer)."""
-        self.total_bytes -= size_bytes
-        self.total_pkts -= 1
+        total_bytes = self.total_bytes = self.total_bytes - size_bytes
+        total_pkts = self.total_pkts = self.total_pkts - 1
+        port_bytes = self.port_bytes
+        port_bytes[port_id] = port_bytes.get(port_id, 0) - size_bytes
+        port_pkts = self.port_pkts
+        port_left = port_pkts[port_id] = port_pkts.get(port_id, 0) - 1
         key = (port_id, flow_id)
-        self.port_bytes[port_id] = \
-            self.port_bytes.get(port_id, 0) - size_bytes
-        self.port_pkts[port_id] = self.port_pkts.get(port_id, 0) - 1
-        self.flow_bytes[key] = self.flow_bytes.get(key, 0) - size_bytes
-        flow_pkts = self.flow_pkts[key] = self.flow_pkts.get(key, 0) - 1
-        if (self.total_bytes < 0 or self.total_pkts < 0
-                or self.port_pkts[port_id] < 0
-                or flow_pkts < 0):
+        flow_bytes = self.flow_bytes
+        flow_bytes[key] = flow_bytes.get(key, 0) - size_bytes
+        flow_pkts = self.flow_pkts
+        flow_left = flow_pkts[key] = flow_pkts.get(key, 0) - 1
+        if total_bytes < 0 or total_pkts < 0 or port_left < 0 \
+                or flow_left < 0:
             raise ValueError(
                 f"buffer release underflow for port={port_id!r} "
                 f"flow={flow_id!r}: released more than admitted")
-        if not flow_pkts:
+        if not flow_left:
             # Emptied: drop the entry so victim scans never walk it.
-            del self.flow_bytes[key], self.flow_pkts[key]
+            del flow_bytes[key], flow_pkts[key]
         if self._metered:
             self._g_bytes.set(self.total_bytes)
             self._g_pkts.set(self.total_pkts)

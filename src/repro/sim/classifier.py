@@ -4,7 +4,7 @@ The first stage of the dataplane (Fig. 1's "packet classification"):
 before admission and scheduling, every arriving packet is assigned to
 an output port.  The repro keeps flow ids as the classification key —
 a flow is pinned to one port, as in a real switch where the forwarding
-lookup is per-destination.
+lookup is per-destination, so the dataplane classifies each flow once.
 
 Three classifiers cover the common shapes:
 
@@ -28,6 +28,14 @@ class Classifier:
     """Maps a flow id to the output port that must carry it."""
 
     def port_of(self, flow_id: Hashable) -> Hashable:
+        """The port id that carries ``flow_id``.
+
+        Contract: the answer is per-flow constant — a function of the
+        flow id alone, the same on every call.  A
+        :class:`~repro.sim.dataplane.Dataplane` relies on it: it asks
+        once per flow, on the flow's first arrival, and sends every
+        later packet of the flow to the same port without asking again.
+        """
         raise NotImplementedError
 
 

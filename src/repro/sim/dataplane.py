@@ -46,8 +46,10 @@ class Dataplane:
 
     ``classifier`` maps flow ids to port ids (optional while the
     dataplane has exactly one port, which then receives everything);
-    ``buffer`` is the shared :class:`BufferManager` (optional: without
-    it admission is unbounded, as in the single-link setups).
+    it is asked once per flow, on the flow's first arrival (see
+    :meth:`bind_flow`).  ``buffer`` is the shared
+    :class:`BufferManager` (optional: without it admission is
+    unbounded, as in the single-link setups).
     """
 
     def __init__(self, sim: Simulator,
@@ -59,8 +61,11 @@ class Dataplane:
         self.tracer = tracer
         self.metrics = metrics
         self.ports: Dict[Hashable, Port] = {}
-        #: Packets offered to the dataplane (pre-admission).
-        self.arrivals = 0
+        #: Flow id -> its port's engine sink, filled on the flow's first
+        #: arrival: classification is per-flow constant, so the
+        #: classifier is asked once per flow.
+        self.sinks: Dict[Hashable, Callable[[Hashable, Packet],
+                                            None]] = {}
         if buffer is not None:
             buffer.attach_clock(lambda: sim.now)
 
@@ -104,13 +109,30 @@ class Dataplane:
                     drain=drain, label=label,
                     on_departure=on_departure)
         self.ports[port_id] = port
+        # A new port can change where (or whether) an unclassified
+        # dataplane routes a flow: classify every flow afresh.
+        self.sinks.clear()
         return port
 
     # -- traffic entry -------------------------------------------------
     def arrival_sink(self, flow_id: Hashable, packet: Packet) -> None:
-        """Classify and deliver one arriving packet (plug this into
-        the traffic generators)."""
-        self.arrivals += 1
+        """Deliver one arriving packet to its port's engine (plug this
+        into the traffic generators)."""
+        sink = self.sinks.get(flow_id)
+        if sink is None:
+            sink = self.bind_flow(flow_id).arrival_sink
+        sink(flow_id, packet)
+
+    def bind_flow(self, flow_id: Hashable) -> Port:
+        """Classify ``flow_id``, cache its engine sink in
+        :attr:`sinks`, and return its port.
+
+        Runs on a flow's first arrival (callers that register flows
+        lazily, like :meth:`FabricSwitch.ingest
+        <repro.net.switch.FabricSwitch.ingest>`, call it on a miss in
+        :attr:`sinks`); a failed classification is not cached, so it
+        raises again on the flow's next arrival.
+        """
         if self.classifier is not None:
             port_id = self.classifier.port_of(flow_id)
             port = self.ports.get(port_id)
@@ -123,9 +145,15 @@ class Dataplane:
         else:
             raise ConfigurationError(
                 "a multi-port dataplane needs a classifier")
-        port.accept(flow_id, packet)
+        self.sinks[flow_id] = port.arrival_sink
+        return port
 
     # -- reporting ------------------------------------------------------
+    @property
+    def arrivals(self) -> int:
+        """Packets offered to the ports (admitted or dropped)."""
+        return sum(port.engine.arrivals for port in self.ports.values())
+
     def departures(self) -> int:
         """Total packets transmitted across all ports."""
         return sum(len(port.recorder) for port in self.ports.values())
@@ -140,16 +168,16 @@ class Dataplane:
         drops = self.buffer.dropped if self.buffer is not None else 0
         residue = self.buffer.total_pkts \
             if self.buffer is not None else None
+        arrivals = self.arrivals
         departures = self.departures()
         if residue is None:
-            residue = self.arrivals - departures - drops
+            residue = arrivals - departures - drops
         return {
-            "arrivals": self.arrivals,
+            "arrivals": arrivals,
             "departures": departures,
             "drops": drops,
             "residue": residue,
-            "balanced":
-                self.arrivals == departures + drops + residue,
+            "balanced": arrivals == departures + drops + residue,
         }
 
     def port_ids(self) -> List[Hashable]:

@@ -60,28 +60,37 @@ class TransmitEngine:
     the baseline schedulers.
 
     ``admission`` is an optional gatekeeper called as ``admission(
-    flow_id, packet) -> bool`` before the packet reaches the scheduler;
-    a False return means the packet was refused (the caller — normally a
-    :class:`~repro.sim.buffer.BufferManager` — is responsible for the
-    drop event).  ``departure_hook`` is an optional ``hook(packet)``
-    called once per transmitted packet, releasing buffer occupancy.
-    Both default to None, leaving the single-engine behaviour (and
-    output) untouched.
+    flow_id, packet, now) -> bool`` before the packet reaches the
+    scheduler; a False return means the packet was refused (the callee
+    — normally a port-bound :meth:`BufferManager.admit
+    <repro.sim.buffer.BufferManager.admit>` — is responsible for the
+    drop event).  ``release`` is an optional ``release(flow_id,
+    size_bytes)`` called once per transmitted packet to credit buffer
+    occupancy back, and ``departure_hook`` an optional
+    ``hook(packet)`` called right after it (next-hop forwarding), so
+    occupancy accounting always runs ahead of any re-injection.  All
+    three default to None, leaving the single-engine behaviour (and
+    output) untouched.  ``arrivals`` counts the packets offered to
+    the engine, admitted or not.
     """
 
     def __init__(self, sim: Simulator, scheduler, link: Link,
                  recorder: Optional[Recorder] = None,
                  tracer=None, metrics=None,
                  drain: Optional[bool] = None,
-                 admission: Optional[Callable[[Hashable, Packet],
+                 admission: Optional[Callable[[Hashable, Packet, float],
                                               bool]] = None,
+                 release: Optional[Callable[[Hashable, int],
+                                            None]] = None,
                  departure_hook: Optional[Callable[[Packet],
                                                    None]] = None) -> None:
         self.sim = sim
         self.scheduler = scheduler
         self.link = link
         self.admission = admission
+        self.release = release
         self.departure_hook = departure_hook
+        self.arrivals = 0
         # Declare ourselves to the simulator: with >1 registered
         # engines, Simulator.advance_to refuses every fast-forward and
         # the drain falls back to its event-driven tail, which
@@ -125,6 +134,7 @@ class TransmitEngine:
         """Feed a packet in (plug this into the traffic generators)."""
         now = self.sim.now
         packet.arrival_time = now
+        self.arrivals += 1
         if self._traced:
             self.tracer.arrival(now, flow_id, packet.size_bytes,
                                 packet.packet_id)
@@ -134,8 +144,8 @@ class TransmitEngine:
         # analyzer's conservation audit sees the packet arrive before
         # any drop event) but before the packet touches backlog gauges
         # or the scheduler.
-        if self.admission is not None \
-                and not self.admission(flow_id, packet):
+        admission = self.admission
+        if admission is not None and not admission(flow_id, packet, now):
             return
         if self._metered:
             self._g_backlog_pkts.inc()
@@ -212,6 +222,7 @@ class TransmitEngine:
         record = self.recorder.record
         listeners = self.departure_listeners
         advance = sim.advance_to
+        release = self.release
         departure_hook = self.departure_hook
         while True:
             packets = schedule(now)
@@ -226,6 +237,8 @@ class TransmitEngine:
             packet.departure_time = finish
             record(now, packet.flow_id, packet.size_bytes,
                    packet.packet_id)
+            if release is not None:
+                release(packet.flow_id, packet.size_bytes)
             if departure_hook is not None:
                 departure_hook(packet)
             listener = listeners.get(packet.flow_id)
@@ -260,12 +273,15 @@ class TransmitEngine:
         record = self.recorder.record
         listeners = self.departure_listeners
         sim_post = self.sim.post
+        release = self.release
         departure_hook = self.departure_hook
         for packet in packets:
             finish = link_transmit(packet, start)
             packet.departure_time = finish
             record(start, packet.flow_id, packet.size_bytes,
                    packet.packet_id)
+            if release is not None:
+                release(packet.flow_id, packet.size_bytes)
             if departure_hook is not None:
                 departure_hook(packet)
             if traced:

@@ -8,6 +8,23 @@ scheduler, the :class:`~repro.sim.link.Link`, and the
 optional shared :class:`~repro.sim.buffer.BufferManager` into the
 engine's admission/release hooks.
 
+The packet path, one frame per layer::
+
+    arrival   Dataplane.arrival_sink (or FabricSwitch.ingest /
+              Host.inject): the flow's cached engine sink
+    admit     TransmitEngine.arrival_sink -> BufferManager.admit
+    schedule  scheduler.on_arrival ... scheduler.schedule
+    release   BufferManager.release, as the packet leaves the wire
+    forward   on_departure(packet) (next hop in :mod:`repro.net`)
+
+What the constructor binds: ``admission`` is ``partial(buffer.admit,
+port_id)``, which the engine calls with the ``now`` it already holds;
+``release`` is ``partial(buffer.release, port_id)``, which the engine
+calls before ``on_departure`` so occupancy is credited back ahead of
+any re-injection; push-out policies reach this port's flow queues
+through ``scheduler.flows.get``.  The port itself adds no frame to the
+packet path.
+
 Observability: the port hands its engine a
 :class:`~repro.obs.trace.LabelledTracer` view stamping ``port=<id>``
 on every event and a :class:`~repro.obs.metrics.ScopedMetrics` view
@@ -19,6 +36,7 @@ views and reproduce bare-engine output bit-identically.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Hashable, Optional
 
 from repro.obs.metrics import scoped
@@ -27,7 +45,6 @@ from repro.sim.engine import TransmitEngine
 from repro.sim.events import Simulator
 from repro.sim.flow import FlowQueue
 from repro.sim.link import Link
-from repro.sim.packet import Packet
 from repro.sim.recorder import Recorder
 
 
@@ -66,48 +83,30 @@ class Port:
                 if metrics is not None else None
         self.tracer = tracer
         self.metrics = metrics
-        admission = None
-        self._forward = on_departure
+        admission = release = None
         if buffer is not None:
-            admission = self._admit
-            departure_hook = (self._release_and_forward
-                              if on_departure is not None
-                              else self._release)
-            buffer.attach_port(port_id, self.flow_queue)
-        else:
-            departure_hook = on_departure
+            admission = partial(buffer.admit, port_id)
+            release = partial(buffer.release, port_id)
+            flows = getattr(scheduler, "flows", None)
+            if flows is not None:
+                buffer.attach_port(port_id, flows.get)
         self.engine = TransmitEngine(
             sim, scheduler, link, recorder=recorder, tracer=tracer,
             metrics=metrics, drain=drain, admission=admission,
-            departure_hook=departure_hook)
+            release=release, departure_hook=on_departure)
         self.recorder = self.engine.recorder
-
-    # -- buffer hooks --------------------------------------------------
-    def _admit(self, flow_id: Hashable, packet: Packet) -> bool:
-        return self.buffer.admit(self.port_id, flow_id, packet,
-                                 self.sim.now)
-
-    def _release(self, packet: Packet) -> None:
-        self.buffer.release(self.port_id, packet.flow_id,
-                            packet.size_bytes)
-
-    def _release_and_forward(self, packet: Packet) -> None:
-        self._release(packet)
-        self._forward(packet)
+        #: The port's entry point: its engine's ``arrival_sink``, bound
+        #: once and shared by every flow the dataplane routes here.
+        self.arrival_sink = self.engine.arrival_sink
 
     def flow_queue(self, flow_id: Hashable) -> Optional[FlowQueue]:
-        """The live :class:`FlowQueue` for ``flow_id`` (push-out
-        policies evict through this); None when the scheduler does not
-        expose per-flow queues or the flow is unknown."""
+        """The live :class:`FlowQueue` for ``flow_id`` (the lookup
+        push-out victims resolve through); None when the scheduler does
+        not expose per-flow queues or the flow is unknown."""
         flows = getattr(self.scheduler, "flows", None)
         if flows is None:
             return None
         return flows.get(flow_id)
-
-    # -- traffic entry -------------------------------------------------
-    def accept(self, flow_id: Hashable, packet: Packet) -> None:
-        """Feed a packet into this port (post-classification)."""
-        self.engine.arrival_sink(flow_id, packet)
 
     def add_departure_listener(self, flow_id: Hashable,
                                callback) -> None:

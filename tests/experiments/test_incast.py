@@ -156,3 +156,18 @@ def test_cli_traced_incast_carries_port_labels(tmp_path):
     marks = [record for record in records if record["kind"] == "mark"]
     assert len(marks) == len(DEFAULT_BUFFER_KIB)
     assert all(record["label"] == "incast.sweep" for record in marks)
+
+
+def test_build_incast_rejects_buffer_smaller_than_mtu():
+    # Every incast packet is MTU-sized: such a buffer would drop them
+    # all without notice.
+    import pytest
+
+    from repro.errors import ConfigurationError
+    from repro.sim.packet import MTU_BYTES
+
+    with pytest.raises(ConfigurationError, match="smaller than one"):
+        build_incast(Simulator(), buffer_bytes=MTU_BYTES - 1,
+                     duration=DURATION)
+    # One MTU is the smallest buffer that can hold a packet.
+    build_incast(Simulator(), buffer_bytes=MTU_BYTES, duration=DURATION)

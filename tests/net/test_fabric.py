@@ -178,3 +178,15 @@ class TestCustomTopologyValidation:
         topo.add_link("h1", "a", rate_bps=gbps(10))
         with pytest.raises(ConfigurationError):
             Fabric(topo)
+
+
+class TestBufferBelowMtuRejected:
+    def test_fabric_buffer_smaller_than_mtu_fails_at_build(self):
+        with pytest.raises(ConfigurationError, match="smaller than one"):
+            _fabric(buffer_bytes=MTU_BYTES - 1)
+
+    def test_fabric_buffer_of_one_mtu_builds_and_delivers(self):
+        fabric = _fabric(buffer_bytes=MTU_BYTES)
+        flow_id = fabric.open_flow("h0", "h3", 3 * MTU_BYTES)
+        fabric.sim.run()
+        assert fabric.collector.flows[flow_id].completed

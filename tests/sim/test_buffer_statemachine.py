@@ -12,7 +12,9 @@ accounting invariants a real switch memory manager must never break:
 * push-out (longest-queue drop) charges the hog — the first eviction
   always removes the tail of the queue that held the most bytes;
 * RED is deterministic per seed: the same operation sequence against
-  the same seed yields the same drop decisions.
+  the same seed yields the same drop decisions;
+* limits are read live: with limits changing between admissions, each
+  admission decides on the limits as they stand at that instant.
 """
 
 from hypothesis import settings, strategies as st
@@ -242,12 +244,133 @@ class RedDeterminismMachine(RuleBasedStateMachine):
         assert first.drops_by_reason == second.drops_by_reason
 
 
+#: Limit name -> values a rule may set it to (None lifts the limit).
+LIMITS = {
+    "capacity_bytes": st.one_of(st.none(),
+                                st.integers(min_value=1_500,
+                                            max_value=14_000)),
+    "capacity_pkts": st.one_of(st.none(),
+                               st.integers(min_value=1, max_value=10)),
+    "per_port_bytes": st.one_of(st.none(),
+                                st.integers(min_value=1_500,
+                                            max_value=9_000)),
+    "per_port_pkts": st.one_of(st.none(),
+                               st.integers(min_value=1, max_value=6)),
+    "per_flow_bytes": st.one_of(st.none(),
+                                st.integers(min_value=1_500,
+                                            max_value=6_000)),
+    "per_flow_pkts": st.one_of(st.none(),
+                               st.integers(min_value=1, max_value=4)),
+}
+
+
+def first_violation(buf, port, flow, size):
+    """The model of the admission checks: the first limit (in the
+    documented order) that one more ``size``-byte packet for ``(port,
+    flow)`` would break, read from the buffer's limits as they are
+    now; None if it fits."""
+    key = (port, flow)
+    checks = (
+        ("buffer:pkts", buf.capacity_pkts, buf.total_pkts + 1),
+        ("buffer:bytes", buf.capacity_bytes, buf.total_bytes + size),
+        ("port:pkts", buf.per_port_pkts, buf.port_pkts.get(port, 0) + 1),
+        ("port:bytes", buf.per_port_bytes,
+         buf.port_bytes.get(port, 0) + size),
+        ("flow:pkts", buf.per_flow_pkts, buf.flow_pkts.get(key, 0) + 1),
+        ("flow:bytes", buf.per_flow_bytes,
+         buf.flow_bytes.get(key, 0) + size),
+    )
+    for reason, limit, after in checks:
+        if limit is not None and after > limit:
+            return reason
+    return None
+
+
+class LiveLimitMachine(RuleBasedStateMachine):
+    """Limits change between admissions: every admission must decide
+    on the limits as they stand at that instant, never on values read
+    when the buffer was built.  Tail-drop must match the model exactly;
+    push-out must refuse exactly the flow carve-out violations and may
+    evict its way past any other."""
+
+    policy = "tail-drop"
+
+    def __init__(self):
+        super().__init__()
+        self.buffer = BufferManager(capacity_bytes=12_000,
+                                    policy=self.policy)
+        self.queues = {}
+        for port in PORTS:
+            self.buffer.attach_port(
+                port,
+                lambda fid, port=port: self.queues.get((port, fid)))
+
+    @rule(data=st.data(), name=st.sampled_from(sorted(LIMITS)))
+    def change_limit(self, data, name):
+        setattr(self.buffer, name, data.draw(LIMITS[name]))
+
+    @rule(port=ports, flow=flows, size=sizes)
+    def admit(self, port, flow, size):
+        buf = self.buffer
+        expected = first_violation(buf, port, flow, size)
+        reasons_before = dict(buf.drops_by_reason)
+        evicted_before = buf.evicted
+        packet = _make_packet(flow, size)
+        admitted = buf.admit(port, flow, packet, now=0.0)
+        if admitted:
+            self.queues.setdefault((port, flow), FlowQueue(flow)).push(
+                packet)
+            # Admission charged a packet that fit every live limit.
+            key = (port, flow)
+            for limit, value in (
+                    (buf.capacity_pkts, buf.total_pkts),
+                    (buf.capacity_bytes, buf.total_bytes),
+                    (buf.per_port_pkts, buf.port_pkts[port]),
+                    (buf.per_port_bytes, buf.port_bytes[port]),
+                    (buf.per_flow_pkts, buf.flow_pkts[key]),
+                    (buf.per_flow_bytes, buf.flow_bytes[key])):
+                assert limit is None or value <= limit
+        if expected is None:
+            assert admitted and buf.evicted == evicted_before
+            return
+        if self.policy == "tail-drop" or expected.startswith("flow"):
+            assert not admitted
+            assert buf.evicted == evicted_before
+            assert buf.drops_by_reason[expected] == \
+                reasons_before.get(expected, 0) + 1
+
+    @precondition(lambda self: any(len(q) for q in
+                                   self.queues.values()))
+    @rule(data=st.data())
+    def transmit(self, data):
+        port, flow = data.draw(st.sampled_from(
+            sorted(k for k, q in self.queues.items() if len(q))))
+        packet = self.queues[(port, flow)].pop()
+        self.buffer.release(port, flow, packet.size_bytes)
+
+    @invariant()
+    def queues_are_the_ground_truth(self):
+        buf = self.buffer
+        assert buf.total_bytes == sum(q.backlog_bytes
+                                      for q in self.queues.values())
+        assert buf.total_pkts == sum(len(q) for q in self.queues.values())
+        for (port, flow), queue in self.queues.items():
+            assert buf.flow_pkts.get((port, flow), 0) == len(queue)
+
+
+class LiveLimitPushOutMachine(LiveLimitMachine):
+    policy = "longest-queue"
+
+
 TestTailDropMachine = TailDropMachine.TestCase
 TestLongestQueueMachine = LongestQueueMachine.TestCase
 TestRedDeterminismMachine = RedDeterminismMachine.TestCase
+TestLiveLimitMachine = LiveLimitMachine.TestCase
+TestLiveLimitPushOutMachine = LiveLimitPushOutMachine.TestCase
 
 for case in (TestTailDropMachine, TestLongestQueueMachine,
-             TestRedDeterminismMachine):
+             TestRedDeterminismMachine, TestLiveLimitMachine,
+             TestLiveLimitPushOutMachine):
     case.settings = settings(max_examples=40, stateful_step_count=40,
                              deadline=None)
 

@@ -404,3 +404,70 @@ def test_arrival_traced_before_drop():
 def test_mtu_constant_unchanged():
     # The incast experiment's staggering math assumes the MTU constant.
     assert MTU_BYTES == 1500
+
+
+# ----------------------------------------------------------------------
+# Classification is per flow
+# ----------------------------------------------------------------------
+def _counting_dataplane():
+    asked = []
+
+    def port_of(flow_id):
+        asked.append(flow_id)
+        return "p0" if flow_id in ("a", "c") else "p1"
+
+    sim = Simulator()
+    dataplane = Dataplane(sim, classifier=FnClassifier(port_of))
+    for port_id in ("p0", "p1"):
+        dataplane.add_port(
+            port_id,
+            make_scheduler=lambda t, m: PieoScheduler(
+                DeficitRoundRobin(), link_rate_bps=gbps(10)),
+            link_rate_bps=gbps(10))
+    for flow_id, port_id in (("a", "p0"), ("b", "p1"), ("c", "p0")):
+        dataplane.ports[port_id].scheduler.add_flow(FlowQueue(flow_id))
+    return sim, dataplane, asked
+
+
+def test_classifier_is_asked_once_per_flow():
+    sim, dataplane, asked = _counting_dataplane()
+    for _ in range(5):
+        for flow_id in ("a", "b", "c"):
+            dataplane.arrival_sink(flow_id, Packet(flow_id))
+    sim.run_until(0.01)
+    assert sorted(asked) == ["a", "b", "c"]
+    # Every packet still reached its flow's port.
+    p0 = dataplane.ports["p0"].recorder.departures
+    p1 = dataplane.ports["p1"].recorder.departures
+    assert sorted({d.flow_id for d in p0}) == ["a", "c"]
+    assert {d.flow_id for d in p1} == {"b"}
+    assert dataplane.conservation() == {
+        "arrivals": 15, "departures": 15, "drops": 0, "residue": 0,
+        "balanced": True}
+
+
+def test_adding_a_port_classifies_flows_afresh():
+    sim, dataplane, asked = _counting_dataplane()
+    dataplane.arrival_sink("a", Packet("a"))
+    dataplane.add_port(
+        "p2",
+        make_scheduler=lambda t, m: PieoScheduler(
+            DeficitRoundRobin(), link_rate_bps=gbps(10)),
+        link_rate_bps=gbps(10))
+    dataplane.arrival_sink("a", Packet("a"))
+    assert asked == ["a", "a"]
+
+
+def test_failed_classification_is_not_cached():
+    sim = Simulator()
+    dataplane = Dataplane(sim,
+                          classifier=StaticClassifier({"a": "nope"}))
+    dataplane.add_port(
+        "p0",
+        make_scheduler=lambda t, m: PieoScheduler(
+            DeficitRoundRobin(), link_rate_bps=gbps(10)),
+        link_rate_bps=gbps(10))
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="unknown port"):
+            dataplane.arrival_sink("a", Packet("a"))
+    assert dataplane.arrivals == 0
