@@ -4,16 +4,13 @@ Records primitive-op throughput for the semantic oracle and the
 cycle-accurate hardware model at N in {256, 1024, 4096} into
 ``bench_results/backend_throughput.txt``.
 
-Both numeric columns come from **one instrumented pass** per
-(backend, size): the op stream is driven through a
-:class:`~repro.obs.TracedList` (so ``avg_op_us`` is the obs layer's own
-histogram mean) while the very same pass is wall-clocked end to end (so
-``ops_per_sec`` covers the identical operations).  Earlier revisions
-measured the two columns in two separate runs with different op counts,
-which made them mutually inconsistent — ``avg_op_us`` implied a
-different ops/sec than the ``ops_per_sec`` column showed.  The columns
-now satisfy ``ops_per_sec ~= 1e6 / avg_op_us`` up to loop overhead
-outside the traced calls.
+Both numeric columns come from **one pass** per (backend, size): each
+operation on the bare backend is timed with :func:`time.perf_counter`
+(``avg_op_us`` is the mean of those per-op times) while the very same
+pass is wall-clocked end to end (so ``ops_per_sec`` covers the
+identical operations).  The columns therefore satisfy ``ops_per_sec ~=
+1e6 / avg_op_us`` up to loop and timer overhead outside the timed
+calls.
 """
 
 import random
@@ -25,7 +22,6 @@ from repro.core.element import Element
 from repro.core.backends import make_list
 from repro.experiments.runner import Table
 from repro.experiments.scheduling_rate import software_ops_per_sec
-from repro.obs import MetricsRegistry, TracedList
 
 SIZES = (256, 1_024, 4_096)
 BACKENDS = ("reference", "hardware")
@@ -34,18 +30,16 @@ OPERATIONS = 20_000
 
 def _measure(backend: str, capacity: int,
              operations: int = OPERATIONS, seed: int = 1):
-    """One instrumented pass; returns ``(ops_per_sec, avg_op_us)``.
+    """One timed pass; returns ``(ops_per_sec, avg_op_us)``.
 
     Same mixed op stream as :func:`software_ops_per_sec` (half-full
     warm-up, coin-flip enqueue/dequeue), but with the randomness
-    pre-built so the timed loop holds only list work plus the
-    :class:`TracedList` shim.  The wall clock wraps exactly the loop
-    whose per-op latencies land in the metrics histograms.
+    pre-built so the timed loop holds only list work plus the per-op
+    timer reads.  The wall clock wraps exactly the loop whose per-op
+    times are summed.
     """
-    registry = MetricsRegistry()
     rng = random.Random(seed)
-    pieo = TracedList(make_list(backend, capacity=capacity),
-                      metrics=registry)
+    pieo = make_list(backend, capacity=capacity)
     for index in range(capacity // 2):
         pieo.enqueue(Element(flow_id=("warm", index),
                              rank=rng.randint(0, 1 << 16),
@@ -57,23 +51,25 @@ def _measure(backend: str, capacity: int,
                         send_time=ops_rng.randint(0, 1 << 16))
                 for index in range(operations)]
     nows = [ops_rng.randint(0, 1 << 16) for _ in range(operations)]
-    start = time.perf_counter()
+    clock = time.perf_counter
+    in_ops = 0.0
+    start = clock()
     for index in range(operations):
         if len(pieo) < capacity and (len(pieo) == 0 or coins[index]):
+            op_start = clock()
             pieo.enqueue(elements[index])
         else:
+            op_start = clock()
             pieo.dequeue(now=nows[index])
-    elapsed = time.perf_counter() - start
-    histograms = registry.to_dict()["histograms"]
-    total_us = sum(h["sum"] for h in histograms.values())
-    total_ops = sum(h["count"] for h in histograms.values())
-    return operations / elapsed, total_us / total_ops
+        in_ops += clock() - op_start
+    elapsed = clock() - start
+    return operations / elapsed, in_ops * 1e6 / operations
 
 
 def _throughput_table() -> Table:
     table = Table(
-        title=("Backend throughput: instrumented primitive ops "
-               f"({OPERATIONS} mixed ops, half-full start, one traced "
+        title=("Backend throughput: timed primitive ops "
+               f"({OPERATIONS} mixed ops, half-full start, one timed "
                "pass per row)"),
         headers=["backend", "size", "ops_per_sec", "speedup_vs_reference",
                  "avg_op_us"],
@@ -88,8 +84,8 @@ def _throughput_table() -> Table:
                           round(ops_per_sec / baseline, 1),
                           round(avg_op_us, 2))
     table.add_note("ops_per_sec and avg_op_us come from the same "
-                   "TracedList pass, so ops_per_sec ~= 1e6 / avg_op_us "
-                   "up to loop overhead outside the traced calls. The "
+                   "pass, so ops_per_sec ~= 1e6 / avg_op_us up to loop "
+                   "and timer overhead outside the timed calls. The "
                    "cycle-accurate model beats the oracle at larger N "
                    "despite per-op accounting (O(sqrt N) sublist walks "
                    "vs the oracle's linear eligibility scan).")

@@ -14,15 +14,23 @@ baseline (``reference``: batched drain off) dispatches every transmit
 timer through the event queue; ``reference+drain`` lets one engine
 callback fast-forward the clock through a chain of them
 (:meth:`repro.sim.events.Simulator.advance_to`), the default for
-unobserved single-port runs.
+unobserved single-port runs.  The baseline turns the drain off the way
+any shared clock does: it registers one more clock consumer before the
+engine is built, so the engine sees ``sim.clock_shared`` and takes its
+event-driven loop.
 """
 
 import statistics
 import time
 
-from repro.experiments.hier_common import (default_node_rates,
-                                           run_hierarchy)
+from repro.experiments.hier_common import (FLOWS_PER_NODE, LINK_GBPS,
+                                           default_node_rates)
 from repro.experiments.runner import Table
+from repro.sched.hierarchical import HierarchicalScheduler, two_level_tree
+from repro.sched.token_bucket import TokenBucket
+from repro.sched.wf2q import WF2Qplus
+from repro.sim import (BackloggedSource, Link, Simulator, TransmitEngine,
+                       gbps)
 from repro.sim.packet import reset_packet_ids
 
 DURATION = 0.003
@@ -36,13 +44,31 @@ CONFIGS = (
 
 
 def _one_run(drain: bool):
-    """One fig12-workload simulation; returns (packets, elapsed_sec)."""
+    """One fig12-workload simulation (the setup of
+    :func:`~repro.experiments.hier_common.run_hierarchy`); returns
+    (packets, elapsed_sec)."""
     reset_packet_ids(0)
     start = time.perf_counter()
-    run = run_hierarchy(default_node_rates(), duration=DURATION,
-                        drain=drain)
+    sim = Simulator()
+    if not drain:
+        sim.register_clock_consumer()
+    link = Link(gbps(LINK_GBPS))
+    root, leaves = two_level_tree(
+        TokenBucket(), [WF2Qplus() for _ in default_node_rates()],
+        flows_per_node=FLOWS_PER_NODE,
+        node_rate_bps=[gbps(rate) for rate in default_node_rates()])
+    engine = TransmitEngine(
+        sim, HierarchicalScheduler(root, link_rate_bps=link.rate_bps),
+        link)
+    for flow in leaves:
+        source = BackloggedSource(sim, flow.flow_id, engine.arrival_sink,
+                                  depth=2)
+        engine.add_departure_listener(flow.flow_id, source.on_departure)
+        source.start(0.0)
+    sim.run_until(DURATION)
     elapsed = time.perf_counter() - start
-    return len(run.engine.recorder), elapsed
+    assert sim.clock_shared is not drain
+    return len(engine.recorder), elapsed
 
 
 def _throughput_table() -> Table:

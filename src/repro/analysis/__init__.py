@@ -11,7 +11,7 @@ _EXPORTS = {
                                 "weighted_jains_index"),
     "repro.analysis.latency": ("LatencyStats", "delay_stats_by_flow",
                                "packet_delays", "pacing_jitter",
-                               "percentile", "summarize"),
+                               "summarize"),
     "repro.analysis.quantiles": ("exact_quantile",),
 }
 

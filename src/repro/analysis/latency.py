@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
+from repro.analysis.quantiles import exact_quantile
 from repro.sim.packet import Packet
 
 
@@ -28,17 +29,6 @@ class LatencyStats:
     stddev: float
 
 
-def percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sequence."""
-    if not sorted_values:
-        return math.nan
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    rank = max(0, min(len(sorted_values) - 1,
-                      math.ceil(fraction * len(sorted_values)) - 1))
-    return sorted_values[rank]
-
-
 def summarize(values: Iterable[float]) -> LatencyStats:
     """Summarize a population of delays."""
     population = sorted(values)
@@ -53,8 +43,8 @@ def summarize(values: Iterable[float]) -> LatencyStats:
         mean=mean,
         minimum=population[0],
         maximum=population[-1],
-        p50=percentile(population, 0.50),
-        p99=percentile(population, 0.99),
+        p50=exact_quantile(population, 0.50),
+        p99=exact_quantile(population, 0.99),
         stddev=math.sqrt(variance),
     )
 

@@ -25,14 +25,6 @@ Built-in backends
 ``"pheap"``
     :class:`~repro.baselines.pheap.PHeap` — the Section 7 pipelined-heap
     baseline (exact PIEO semantics, heap-shaped costs).
-``"traced"``
-    :class:`~repro.obs.traced_list.TracedList` — the observability
-    decorator over any other backend.  Config: ``inner`` (wrapped
-    backend name, default the registry default), ``tracer``,
-    ``metrics``, ``clock``, plus any inner-backend config passed
-    through.  With the default null observers it is a transparent
-    delegate, so it participates in the conformance/differential
-    matrices like every other backend.
 
 User extensions register with :func:`register_backend`; the conformance
 and differential test matrices pick up every registered backend
@@ -168,19 +160,6 @@ def _pheap_factory(capacity: Optional[int]) -> PieoList:
     return PHeap(capacity)
 
 
-def _traced_factory(capacity: Optional[int],
-                    inner: Optional[str] = None,
-                    tracer=None, metrics=None, clock=None,
-                    **inner_config) -> PieoList:
-    from repro.obs.traced_list import TracedList
-    inner_name = inner or DEFAULT_BACKEND
-    if inner_name == "traced":
-        raise ConfigurationError("cannot nest the traced backend")
-    inner_list = make_list(inner_name, capacity=capacity, **inner_config)
-    return TracedList(inner_list, tracer=tracer, metrics=metrics,
-                      clock=clock)
-
-
 register_backend(
     "reference", _reference_factory,
     description="semantic oracle: sorted array + linear eligibility scan")
@@ -193,7 +172,3 @@ register_backend(
 register_backend(
     "pheap", _pheap_factory, unbounded_ok=False,
     description="Section 7 pipelined-heap baseline")
-register_backend(
-    "traced", _traced_factory,
-    description="tracing/metrics decorator over another backend "
-                "(config: inner=NAME, tracer=, metrics=)")

@@ -49,16 +49,14 @@ def run_hierarchy(node_rate_gbps: Sequence[float],
                   packet_bytes: int = MTU_BYTES,
                   list_factory: Optional[Callable] = None,
                   flows_per_node: int = FLOWS_PER_NODE,
-                  tracer=None, metrics=None,
-                  drain: Optional[bool] = None) -> HierRun:
+                  tracer=None, metrics=None) -> HierRun:
     """Simulate the Section 6.3 topology and measure achieved rates.
 
     ``node_rate_gbps[i]`` is node i's Token Bucket rate limit.  Rates are
     measured after a warm-up window.  ``tracer``/``metrics``
     (:mod:`repro.obs`) observe the whole stack: simulator timers, link
     serialization, per-level enqueue/dequeue, and packet
-    arrivals/departures.  ``drain`` forces the transmit engine's batched
-    fast path on/off (default: automatic — on only for unobserved runs).
+    arrivals/departures.
     """
     sim = Simulator(tracer=tracer, metrics=metrics)
     link = Link(gbps(LINK_GBPS), tracer=tracer)
@@ -74,7 +72,7 @@ def run_hierarchy(node_rate_gbps: Sequence[float],
                                       list_factory=list_factory,
                                       tracer=tracer, metrics=metrics)
     engine = TransmitEngine(sim, scheduler, link,
-                            tracer=tracer, metrics=metrics, drain=drain)
+                            tracer=tracer, metrics=metrics)
     for flow in leaves:
         source = BackloggedSource(sim, flow.flow_id, engine.arrival_sink,
                                   depth=2, size_bytes=packet_bytes)

@@ -57,8 +57,7 @@ class Fabric:
                  seed: int = 0, ttl: int = DEFAULT_TTL,
                  record_path: bool = False,
                  collector: Optional[FctCollector] = None,
-                 tracer=None, metrics=None,
-                 label: bool = True) -> None:
+                 tracer=None, metrics=None) -> None:
         topology.validate()
         if buffer_bytes is not None and buffer_bytes < MTU_BYTES:
             raise ConfigurationError(
@@ -83,8 +82,7 @@ class Fabric:
             if buffer_bytes is not None:
                 buffer = BufferManager(
                     capacity_bytes=buffer_bytes, policy=drop_policy,
-                    tracer=(labelled(tracer, switch=name)
-                            if label else tracer),
+                    tracer=labelled(tracer, switch=name),
                     metrics=metrics)
             self.switches[name] = FabricSwitch(
                 name, self.sim, topology, self.routes,
@@ -92,15 +90,14 @@ class Fabric:
                 forward=partial(self._forward, name),
                 algorithm=algorithm, backend=backend, buffer=buffer,
                 seed=seed, tracer=tracer, metrics=metrics,
-                label=label, record_path=record_path)
+                record_path=record_path)
         for name in topology.hosts:
             self.hosts[name] = Host(
                 name, self.sim, topology,
                 forward=partial(self._forward, name),
                 algorithm=(host_algorithm if host_algorithm is not None
                            else algorithm),
-                backend=backend, tracer=tracer, metrics=metrics,
-                label=label)
+                backend=backend, tracer=tracer, metrics=metrics)
         #: ``(node, next_node)`` -> ``(propagation delay, deliver)``,
         #: where ``deliver(packet)`` is the next switch's ``ingest`` or
         #: the arrival at a host.

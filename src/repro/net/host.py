@@ -44,8 +44,7 @@ class Host:
                  forward: Callable[[str, Packet], None],
                  algorithm: str = "drr",
                  backend: Optional[str] = None,
-                 tracer=None, metrics=None,
-                 label: bool = True) -> None:
+                 tracer=None, metrics=None) -> None:
         neighbors = topology.neighbors(name)
         if len(neighbors) != 1:
             raise ConfigurationError(
@@ -57,11 +56,9 @@ class Host:
         self.received_pkts = 0
         self.received_bytes = 0
         link = topology.link(name, self.uplink)
-        host_tracer = labelled(tracer, switch=name) if label else tracer
-        host_metrics = (scoped(metrics, f"host.{name}")
-                        if label and metrics is not None else metrics)
-        self.dataplane = Dataplane(sim, tracer=host_tracer,
-                                   metrics=host_metrics)
+        self.dataplane = Dataplane(
+            sim, tracer=labelled(tracer, switch=name),
+            metrics=scoped(metrics, f"host.{name}"))
 
         def make_scheduler(port_tracer, port_metrics):
             return PieoScheduler(make_algorithm(algorithm),

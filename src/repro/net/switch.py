@@ -49,7 +49,7 @@ def first_arrival_sink(dataplane: Dataplane, flow_id: Hashable):
     caches its engine sink in ``dataplane.sinks``), register its
     :class:`FlowQueue` at the chosen port, and return the sink."""
     port = dataplane.bind_flow(flow_id)
-    if port.flow_queue(flow_id) is None:
+    if port.scheduler.flows.get(flow_id) is None:
         port.scheduler.add_flow(FlowQueue(flow_id))
     return port.arrival_sink
 
@@ -85,15 +85,13 @@ class FabricSwitch:
                  backend: Optional[str] = None,
                  buffer=None, seed: int = 0,
                  tracer=None, metrics=None,
-                 label: bool = True,
                  record_path: bool = True) -> None:
         self.name = name
         self.sim = sim
         self.record_path = record_path
         self.ttl_drops = 0
-        self.tracer = labelled(tracer, switch=name) if label else tracer
-        switch_metrics = (scoped(metrics, f"switch.{name}")
-                          if label and metrics is not None else metrics)
+        self.tracer = labelled(tracer, switch=name)
+        switch_metrics = scoped(metrics, f"switch.{name}")
         self.classifier = NextHopClassifier(name, routes, five_tuple_of,
                                             seed=seed)
         self.dataplane = Dataplane(sim, classifier=self.classifier,

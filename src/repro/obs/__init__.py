@@ -3,8 +3,7 @@
 Zero-dependency event tracing (:mod:`repro.obs.trace`), aggregate
 metrics (:mod:`repro.obs.metrics`), span scopes and the null default
 path (:mod:`repro.obs.scope`), the sweep heartbeat
-(:mod:`repro.obs.heartbeat`), the ``TracedList`` backend decorator
-(:mod:`repro.obs.traced_list`), offline trace analysis with per-packet
+(:mod:`repro.obs.heartbeat`), offline trace analysis with per-packet
 latency attribution (:mod:`repro.obs.analyze`), and Prometheus/Perfetto
 exporters (:mod:`repro.obs.export`); ``python -m repro.obs`` is the
 analysis CLI.
@@ -44,7 +43,6 @@ _EXPORTS = {
                         "NullMetrics", "NullSpan", "NullTracer", "Span"),
     "repro.obs.trace": ("EVENT_KINDS", "LabelledTracer", "TraceEvent",
                         "Tracer", "labelled", "read_jsonl"),
-    "repro.obs.traced_list": ("TracedList",),
 }
 
 __all__, __getattr__, __dir__ = lazy_namespace(__name__, _EXPORTS)

@@ -239,8 +239,7 @@ class PieoScheduler:
         Ordered-list backend name resolved through
         :mod:`repro.core.backends` (``"reference"``, ``"hardware"``,
         ...).  Defaults to the registry default; mutually
-        exclusive with ``ordered_list``.  ``backend_config`` carries
-        backend-specific options (e.g. ``{"sublist_size": 8}``).
+        exclusive with ``ordered_list``.
     trigger:
         Input- or output-triggered Pre-Enqueue (Section 3.2.1).
     link_rate_bps:
@@ -259,7 +258,6 @@ class PieoScheduler:
                  trigger: TriggerModel = TriggerModel.OUTPUT,
                  link_rate_bps: float = 40e9,
                  backend: Optional[str] = None,
-                 backend_config: Optional[Dict] = None,
                  tracer=None, metrics=None) -> None:
         if link_rate_bps <= 0:
             raise ConfigurationError("link_rate_bps must be positive")
@@ -268,8 +266,7 @@ class PieoScheduler:
                 "pass either ordered_list or backend, not both")
         self.algorithm = algorithm
         if ordered_list is None:
-            ordered_list = make_list(backend or DEFAULT_BACKEND,
-                                     **(backend_config or {}))
+            ordered_list = make_list(backend or DEFAULT_BACKEND)
         self.ordered_list: PieoList = ordered_list
         #: Where the hot path sends its list operations.  A scheduler on
         #: a logical PIEO view goes straight to the level's physical

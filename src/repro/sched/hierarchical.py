@@ -128,9 +128,8 @@ class HierarchicalScheduler:
     backend:
         Ordered-list backend name resolved through
         :mod:`repro.core.backends` (``"reference"``, ``"hardware"``,
-        ...), with backend-specific options in
-        ``backend_config``.  Mutually exclusive with ``list_factory``;
-        defaults to the registry default.
+        ...).  Mutually exclusive with ``list_factory``; defaults to
+        the registry default.
 
     Exposes the same interface as
     :class:`~repro.sched.framework.PieoScheduler` (``on_arrival`` /
@@ -140,7 +139,6 @@ class HierarchicalScheduler:
 
     def __init__(self, root: SchedNode, link_rate_bps: float = 40e9,
                  list_factory=None, backend: Optional[str] = None,
-                 backend_config: Optional[Dict] = None,
                  tracer=None, metrics=None) -> None:
         if list_factory is not None and backend is not None:
             raise ConfigurationError(
@@ -154,7 +152,7 @@ class HierarchicalScheduler:
         self.tracer = tracer
         self.metrics = metrics
         self._list_factory = list_factory or make_factory(
-            backend or DEFAULT_BACKEND, **(backend_config or {}))
+            backend or DEFAULT_BACKEND)
         self._group_ids = itertools.count()
         #: One shared physical PIEO per non-leaf level (index = depth).
         self.level_lists: List[PieoList] = []

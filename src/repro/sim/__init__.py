@@ -11,7 +11,7 @@ _EXPORTS = {
                          "register_drop_policy"),
     "repro.sim.classifier": ("Classifier", "FnClassifier",
                              "HashClassifier", "StaticClassifier"),
-    "repro.sim.dataplane": ("Dataplane", "single_port_dataplane"),
+    "repro.sim.dataplane": ("Dataplane",),
     "repro.sim.port": ("Port",),
     "repro.sim.engine": ("TransmitEngine",),
     "repro.sim.events": ("EventHandle", "Simulator"),

@@ -99,12 +99,15 @@ class LongestQueueDrop(DropPolicy):
                   flow_id: Hashable, packet: Packet,
                   reason: str) -> bool:
         # Per-flow overflow is a carve-out the flow itself exceeded;
-        # evicting *other* flows would punish the innocent.
+        # evicting *other* flows would punish the innocent.  Per-port
+        # overflow is relieved only by the arriving port's own queues.
         if reason.startswith("flow"):
             return False
+        only_port = port_id if reason.startswith("port") else None
         evicted = False
         while not buffer.would_fit(port_id, flow_id, packet):
-            victim = buffer.longest_queue(min_depth=2)
+            victim = buffer.longest_queue(min_depth=2,
+                                          only_port=only_port)
             if victim is None:
                 return evicted
             victim_port, victim_flow, queue = victim
@@ -454,11 +457,13 @@ class BufferManager:
         self._note_drop(port_id, flow_id, packet, reason, self._now())
 
     # -- victim selection (push-out policies) --------------------------
-    def longest_queue(self, min_depth: int = 2):
+    def longest_queue(self, min_depth: int = 2,
+                      only_port: Optional[Hashable] = None):
         """The (port_id, flow_id, queue) holding the most buffered
-        bytes among queues at least ``min_depth`` (>= 1) deep; None if
-        no queue qualifies.  Ties break deterministically on the
-        stringified (port, flow) key.
+        bytes among queues at least ``min_depth`` (>= 1) deep, on
+        ``only_port`` when one is given; None if no queue
+        qualifies.  Ties break deterministically on the stringified
+        (port, flow) key.
 
         Every queued packet was admitted, so a queue is never deeper
         than the buffer's own packet count for it: entries shallower
@@ -469,7 +474,11 @@ class BufferManager:
         best_key = None
         flow_pkts = self.flow_pkts
         resolvers = self._resolvers
-        for key, occupied in self.flow_bytes.items():
+        entries = self.flow_bytes.items()
+        if only_port is not None:
+            entries = [(key, occupied) for key, occupied in entries
+                       if key[0] == only_port]
+        for key, occupied in entries:
             if flow_pkts[key] < min_depth:
                 continue
             port_id, flow_id = key

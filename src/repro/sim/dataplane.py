@@ -18,12 +18,6 @@ driven by a seeded RNG (RED).  With more than one port the engines'
 batched drain automatically degrades to the event-driven tail
 (:meth:`Simulator.advance_to` refuses once a second clock consumer
 registers), which serializes the ports correctly at identical output.
-
-:func:`single_port_dataplane` is the compatibility wrapper: one
-unlabelled port, no buffer, no classifier — bit-identical behaviour
-(traces, metrics, recorder output) to wiring a bare
-:class:`~repro.sim.engine.TransmitEngine` yourself, so every existing
-single-link figure reproduces unchanged through the port layer.
 """
 
 from __future__ import annotations
@@ -75,8 +69,6 @@ class Dataplane:
                  make_scheduler: Optional[Callable] = None,
                  link_rate_bps: Optional[float] = None,
                  recorder: Optional[Recorder] = None,
-                 drain: Optional[bool] = None,
-                 label: bool = True,
                  on_departure=None) -> Port:
         """Create and register a port.
 
@@ -89,10 +81,8 @@ class Dataplane:
         """
         if port_id in self.ports:
             raise ConfigurationError(f"duplicate port id {port_id!r}")
-        port_tracer = labelled(self.tracer, port=str(port_id)) \
-            if label else self.tracer
-        port_metrics = scoped(self.metrics, f"port.{port_id}") \
-            if label and self.metrics is not None else self.metrics
+        port_tracer = labelled(self.tracer, port=str(port_id))
+        port_metrics = scoped(self.metrics, f"port.{port_id}")
         if scheduler is None:
             if make_scheduler is None:
                 raise ConfigurationError(
@@ -105,8 +95,7 @@ class Dataplane:
             link = Link(link_rate_bps, tracer=port_tracer)
         port = Port(port_id, self.sim, scheduler, link,
                     buffer=self.buffer, recorder=recorder,
-                    tracer=self.tracer, metrics=self.metrics,
-                    drain=drain, label=label,
+                    tracer=port_tracer, metrics=port_metrics,
                     on_departure=on_departure)
         self.ports[port_id] = port
         # A new port can change where (or whether) an unclassified
@@ -183,22 +172,3 @@ class Dataplane:
     def port_ids(self) -> List[Hashable]:
         return list(self.ports)
 
-
-def single_port_dataplane(sim: Simulator, scheduler, link: Link,
-                          recorder: Optional[Recorder] = None,
-                          tracer=None, metrics=None,
-                          drain: Optional[bool] = None,
-                          port_id: Hashable = "p0") -> Dataplane:
-    """Compatibility wrapper: a one-port dataplane that behaves —
-    trace-for-trace, byte-for-byte — like a bare
-    :class:`~repro.sim.engine.TransmitEngine` on the same pieces.
-
-    No shared buffer (admission is unbounded, as before), no
-    classifier (the single port receives every arrival), and no port
-    labelling (events and metric names are unchanged), so existing
-    single-link figures reproduce identically through the port layer.
-    """
-    dataplane = Dataplane(sim, tracer=tracer, metrics=metrics)
-    dataplane.add_port(port_id, scheduler=scheduler, link=link,
-                       recorder=recorder, drain=drain, label=False)
-    return dataplane

@@ -30,8 +30,7 @@ Recorder output (order, times, packet ids) is bit-identical to the
 unbatched path; only ``events_fired`` accounting is condensed (each
 successful advance still counts as one event).  On a simulator shared by
 several engines every advance is refused, so the engine skips the drain
-there and runs the event-driven loop directly.  Pass ``drain=False`` to
-force the reference loop, ``drain=True`` to force draining.
+there and runs the event-driven loop directly.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ class TransmitEngine:
     def __init__(self, sim: Simulator, scheduler, link: Link,
                  recorder: Optional[Recorder] = None,
                  tracer=None, metrics=None,
-                 drain: Optional[bool] = None,
                  admission: Optional[Callable[[Hashable, Packet, float],
                                               bool]] = None,
                  release: Optional[Callable[[Hashable, int],
@@ -101,13 +99,11 @@ class TransmitEngine:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._traced = self.tracer is not NULL_TRACER
         self._metered = self.metrics is not NULL_METRICS
-        if drain is None:
-            # Auto: drain only when nothing observes the event-level
-            # behaviour the drain condenses.
-            drain = (not self._traced and not self._metered
-                     and sim.tracer is NULL_TRACER
-                     and sim.metrics is NULL_METRICS)
-        self.drain_enabled = bool(drain)
+        # Drain only when nothing observes the event-level behaviour
+        # the drain condenses.
+        self.drain_enabled = (not self._traced and not self._metered
+                              and sim.tracer is NULL_TRACER
+                              and sim.metrics is NULL_METRICS)
         #: Per-flow departure callbacks (e.g. BackloggedSource refills).
         self.departure_listeners: Dict[Hashable,
                                        Callable[[], None]] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from repro.errors import ConfigurationError
 from repro.obs.scope import NULL_TRACER
 from repro.sim.packet import Packet
 
@@ -26,7 +27,8 @@ class Link:
 
     def __init__(self, rate_bps: float, tracer=None) -> None:
         if not 0 < rate_bps < math.inf:  # also rejects NaN
-            raise ValueError("link rate must be positive and finite")
+            raise ConfigurationError(
+                "link rate must be positive and finite")
         self.rate_bps = rate_bps
         self.busy_until = 0.0
         self.bytes_sent = 0

@@ -25,13 +25,12 @@ any re-injection; push-out policies reach this port's flow queues
 through ``scheduler.flows.get``.  The port itself adds no frame to the
 packet path.
 
-Observability: the port hands its engine a
+Observability: :meth:`Dataplane.add_port
+<repro.sim.dataplane.Dataplane.add_port>` hands the port a
 :class:`~repro.obs.trace.LabelledTracer` view stamping ``port=<id>``
 on every event and a :class:`~repro.obs.metrics.ScopedMetrics` view
 prefixing instruments with ``port.<id>``, so one tracer/registry pair
 serves the whole dataplane while streams stay separable per port.
-Pass ``label=False`` (the single-port compatibility path) to skip both
-views and reproduce bare-engine output bit-identically.
 """
 
 from __future__ import annotations
@@ -39,11 +38,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Hashable, Optional
 
-from repro.obs.metrics import scoped
-from repro.obs.trace import labelled
 from repro.sim.engine import TransmitEngine
 from repro.sim.events import Simulator
-from repro.sim.flow import FlowQueue
 from repro.sim.link import Link
 from repro.sim.recorder import Recorder
 
@@ -51,9 +47,9 @@ from repro.sim.recorder import Recorder
 class Port:
     """One output port of a :class:`~repro.sim.dataplane.Dataplane`.
 
-    ``scheduler`` and ``link`` are constructed by the caller (use
-    :meth:`Dataplane.add_port` for the factory-style wiring that labels
-    their observers too).  ``buffer`` is the shared
+    Built by :meth:`Dataplane.add_port`, which also hands it the
+    port-labelled ``tracer`` and port-scoped ``metrics`` views that
+    its scheduler and link observe through.  ``buffer`` is the shared
     :class:`~repro.sim.buffer.BufferManager`; when given, arrivals pass
     through ``buffer.admit`` before the scheduler sees them and every
     transmission credits occupancy back via ``buffer.release``.
@@ -69,18 +65,12 @@ class Port:
                  link: Link, buffer=None,
                  recorder: Optional[Recorder] = None,
                  tracer=None, metrics=None,
-                 drain: Optional[bool] = None,
-                 label: bool = True,
                  on_departure=None) -> None:
         self.port_id = port_id
         self.sim = sim
         self.scheduler = scheduler
         self.link = link
         self.buffer = buffer
-        if label:
-            tracer = labelled(tracer, port=str(port_id))
-            metrics = scoped(metrics, f"port.{port_id}") \
-                if metrics is not None else None
         self.tracer = tracer
         self.metrics = metrics
         admission = release = None
@@ -92,25 +82,12 @@ class Port:
                 buffer.attach_port(port_id, flows.get)
         self.engine = TransmitEngine(
             sim, scheduler, link, recorder=recorder, tracer=tracer,
-            metrics=metrics, drain=drain, admission=admission,
+            metrics=metrics, admission=admission,
             release=release, departure_hook=on_departure)
         self.recorder = self.engine.recorder
         #: The port's entry point: its engine's ``arrival_sink``, bound
         #: once and shared by every flow the dataplane routes here.
         self.arrival_sink = self.engine.arrival_sink
-
-    def flow_queue(self, flow_id: Hashable) -> Optional[FlowQueue]:
-        """The live :class:`FlowQueue` for ``flow_id`` (the lookup
-        push-out victims resolve through); None when the scheduler does
-        not expose per-flow queues or the flow is unknown."""
-        flows = getattr(self.scheduler, "flows", None)
-        if flows is None:
-            return None
-        return flows.get(flow_id)
-
-    def add_departure_listener(self, flow_id: Hashable,
-                               callback) -> None:
-        self.engine.add_departure_listener(flow_id, callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Port({self.port_id!r})"

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.analysis.latency import (delay_stats_by_flow, packet_delays,
-                                    pacing_jitter, percentile, summarize)
+                                    pacing_jitter, summarize)
+from repro.analysis.quantiles import exact_quantile
 from repro.sim.packet import Packet
 
 
@@ -17,13 +18,17 @@ def make_packet(flow_id, arrival, departure):
 
 def test_percentile_nearest_rank():
     values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 0.5) == 2.0
-    assert percentile(values, 0.99) == 4.0
-    assert percentile(values, 0.0) == 1.0
-    assert percentile(values, 1.0) == 4.0
-    assert math.isnan(percentile([], 0.5))
+    assert exact_quantile(values, 0.5) == 2.0
+    assert exact_quantile(values, 0.99) == 4.0
+    assert exact_quantile(values, 0.0) == 1.0
+    assert exact_quantile(values, 1.0) == 4.0
     with pytest.raises(ValueError):
-        percentile(values, 1.5)
+        exact_quantile(values, 1.5)
+    # summarize reports the same nearest-rank p50/p99, and NaN when
+    # there is nothing to summarize.
+    stats = summarize([4.0, 1.0, 3.0, 2.0])
+    assert (stats.p50, stats.p99) == (2.0, 4.0)
+    assert math.isnan(summarize([]).p50)
 
 
 def test_summarize():

@@ -41,6 +41,11 @@ def test_unknown_backend_names_the_alternatives():
     assert "reference" in message and "hardware" in message
 
 
+def test_traced_backend_is_gone():
+    with pytest.raises(ConfigurationError, match="registered backends"):
+        make_list("traced")
+
+
 def test_duplicate_registration_rejected_without_overwrite():
     with pytest.raises(ConfigurationError):
         register_backend("reference", lambda capacity: None)

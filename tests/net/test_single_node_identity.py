@@ -86,7 +86,7 @@ def _run_bare_dataplane():
 
     def deliver(flow_id, packet):
         port = dataplane.ports["b"]
-        if port.flow_queue(flow_id) is None:
+        if flow_id not in port.scheduler.flows:
             port.scheduler.add_flow(FlowQueue(flow_id))
         dataplane.arrival_sink(flow_id, packet)
 

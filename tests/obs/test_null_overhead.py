@@ -7,12 +7,11 @@ This guards the observability layer's core claim (mirroring
 singletons untouched and produce byte-identical scheduling behaviour.
 """
 
-from repro.core.backends import make_list
 from repro.core.element import Element
 from repro.core.instrumentation import NULL_INSTRUMENTATION
 from repro.core.pieo import PieoHardwareList
 from repro.obs import (NULL_METRICS, NULL_TRACER, MetricsRegistry,
-                       NullMetrics, NullTracer, TracedList, Tracer)
+                       NullMetrics, NullTracer, Tracer)
 from repro.sched import PieoScheduler, WF2Qplus
 from repro.sim import (BackloggedSource, FlowQueue, Link, Simulator,
                        TransmitEngine, gbps)
@@ -65,48 +64,6 @@ def test_null_and_real_observers_reach_identical_schedules():
                          for d in traced.recorder.departures]
     assert untraced_departures == traced_departures
     assert traced.tracer.emitted > 0
-
-
-def test_traced_list_null_path_is_pure_delegation():
-    traced = TracedList(make_list("reference", capacity=8))
-    assert traced.tracer is NULL_TRACER
-    assert traced.metrics is NULL_METRICS
-    assert traced._observed is False
-    traced.enqueue(Element("a", rank=1, send_time=0))
-    traced.enqueue(Element("b", rank=2, send_time=0))
-    assert traced.dequeue(now=0).flow_id == "a"
-    assert traced.dequeue_flow("b").flow_id == "b"
-    assert NULL_TRACER.emitted == 0
-    assert NULL_METRICS.snapshot() == {}
-
-
-def test_traced_list_observed_path_records_events_and_latency():
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    traced = TracedList(make_list("reference", capacity=8),
-                        tracer=tracer, metrics=registry,
-                        clock=lambda: 42.0)
-    traced.enqueue(Element("a", rank=1, send_time=0))
-    assert traced.dequeue(now=0).flow_id == "a"
-    assert traced.dequeue(now=0) is None  # miss is traced too
-    kinds = [event.kind for event in tracer.events]
-    assert kinds == ["enqueue", "dequeue", "dequeue"]
-    assert all(event.time == 42.0 for event in tracer.events)
-    assert tracer.events[2].get("miss") is True
-    snapshot = registry.to_dict()
-    assert snapshot["histograms"]["backend.enqueue_us"]["count"] == 1
-    assert snapshot["histograms"]["backend.dequeue_us"]["count"] == 2
-    assert snapshot["gauges"]["backend.depth"]["max"] == 1
-
-
-def test_traced_list_delegates_backend_extras():
-    traced = TracedList(make_list("hardware", capacity=16))
-    traced.enqueue(Element("a", rank=1, send_time=0))
-    assert traced.counters.cycles > 0  # __getattr__ passthrough
-    traced.check()  # hardware self-check reachable through the wrapper
-    assert "a" in traced
-    assert len(traced) == 1
-    assert traced.capacity == 16
 
 
 def test_null_instrumentation_alignment():

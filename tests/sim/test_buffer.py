@@ -213,6 +213,23 @@ def test_lqd_respects_per_flow_carveout():
     assert buffer.drops_by_reason == {"flow:pkts": 1}
 
 
+def test_lqd_per_port_overflow_evicts_only_on_that_port():
+    # Another port's longer queue cannot relieve this port's carve-out,
+    # so it must not lose a packet to it.
+    buffer, attach, admit, queues = _lqd_buffer(capacity_bytes=10_000)
+    buffer.per_port_pkts = 2
+    attach("p0")
+    attach("p1")
+    for _ in range(2):
+        assert admit("p1", "c", size=1500)
+        assert admit("p0", "a")
+    assert admit("p0", "a")
+    assert buffer.drops_by_port == {"p0": 1}
+    assert buffer.drops_by_reason == {"evicted:longest-queue": 1}
+    assert len(queues[("p1", "c")]) == 2
+    assert len(queues[("p0", "a")]) == 2
+
+
 def test_drop_tail_guard_on_flow_queue():
     queue = FlowQueue("f")
     queue.push(_pkt("f"))

@@ -16,15 +16,17 @@ from repro.sim.flow import FlowQueue
 from repro.sim.packet import Packet, reset_packet_ids
 
 
-def scan_longest_queue(self, min_depth: int = 2):
+def scan_longest_queue(self, min_depth: int = 2, only_port=None):
     """The (port_id, flow_id, queue) holding the most buffered
-    bytes among queues at least ``min_depth`` deep; None if no
-    queue qualifies.  Ties break deterministically on the
-    stringified (port, flow) key."""
+    bytes among queues at least ``min_depth`` deep, on ``only_port``
+    when one is given; None if no queue qualifies.  Ties break
+    deterministically on the stringified (port, flow) key."""
     best = None
     best_key = None
     for (port_id, flow_id), occupied in self.flow_bytes.items():
         if occupied <= 0:
+            continue
+        if only_port is not None and port_id != only_port:
             continue
         resolver = self._resolvers.get(port_id)
         if resolver is None:
@@ -81,8 +83,9 @@ def test_longest_queue_matches_full_scan(ops, hidden):
             buffer.note_eviction(port, flow, queue.drop_tail(),
                                  reason="evicted:test")
         for min_depth in (1, 2, 3):
-            assert buffer.longest_queue(min_depth) == \
-                scan_longest_queue(buffer, min_depth)
+            for only_port in (None, *PORTS):
+                assert buffer.longest_queue(min_depth, only_port) == \
+                    scan_longest_queue(buffer, min_depth, only_port)
         assert buffer.flow_bytes.keys() == buffer.flow_pkts.keys()
         assert all(pkts > 0 for pkts in buffer.flow_pkts.values())
 

@@ -373,6 +373,9 @@ for case in (TestTailDropMachine, TestLongestQueueMachine,
              TestLiveLimitPushOutMachine):
     case.settings = settings(max_examples=40, stateful_step_count=40,
                              deadline=None)
+# Left bound at module level, the loop variable would be collected as
+# one more test case and run the last machine twice.
+del case
 
 
 def test_release_underflow_is_rejected():

@@ -1,7 +1,5 @@
 """Tests for ports, classification, and the dataplane orchestrator."""
 
-import io
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -10,8 +8,7 @@ from repro.sched import DeficitRoundRobin, PieoScheduler
 from repro.sim import (BufferManager, Dataplane, FlowQueue,
                        FnClassifier, HashClassifier, Link, Packet,
                        Simulator, StaticClassifier, TransmitEngine,
-                       gbps, single_port_dataplane)
-from repro.sim.dataplane import single_port_dataplane as _spd_alias
+                       gbps)
 from repro.sim.generators import CbrGenerator
 from repro.sim.packet import MTU_BYTES, reset_packet_ids
 
@@ -49,76 +46,15 @@ def test_fn_classifier():
 
 
 # ----------------------------------------------------------------------
-# Single-port compatibility wrapper
+# Single port
 # ----------------------------------------------------------------------
-def _run_bare(duration=0.001):
-    reset_packet_ids()
-    sink = io.StringIO()
-    tracer = Tracer(capacity=0, sink=sink)
-    metrics = MetricsRegistry()
-    sim = Simulator(tracer=tracer, metrics=metrics)
-    link = Link(gbps(10), tracer=tracer)
-    scheduler = PieoScheduler(DeficitRoundRobin(),
-                              link_rate_bps=link.rate_bps,
-                              tracer=tracer, metrics=metrics)
-    engine = TransmitEngine(sim, scheduler, link, tracer=tracer,
-                            metrics=metrics)
-    for index in range(2):
-        flow_id = f"f{index}"
-        scheduler.add_flow(FlowQueue(flow_id))
-        CbrGenerator(sim, flow_id, engine.arrival_sink,
-                     rate_bps=gbps(8), end_time=duration).start(0.0)
-    sim.run_until(duration)
-    return engine.recorder.departures, sink.getvalue(), \
-        metrics.snapshot()
-
-
-def _run_wrapped(duration=0.001):
-    reset_packet_ids()
-    sink = io.StringIO()
-    tracer = Tracer(capacity=0, sink=sink)
-    metrics = MetricsRegistry()
-    sim = Simulator(tracer=tracer, metrics=metrics)
-    link = Link(gbps(10), tracer=tracer)
-    scheduler = PieoScheduler(DeficitRoundRobin(),
-                              link_rate_bps=link.rate_bps,
-                              tracer=tracer, metrics=metrics)
-    dataplane = single_port_dataplane(sim, scheduler, link,
-                                      tracer=tracer, metrics=metrics)
-    for index in range(2):
-        flow_id = f"f{index}"
-        scheduler.add_flow(FlowQueue(flow_id))
-        CbrGenerator(sim, flow_id, dataplane.arrival_sink,
-                     rate_bps=gbps(8), end_time=duration).start(0.0)
-    sim.run_until(duration)
-    port = dataplane.ports["p0"]
-    return port.recorder.departures, sink.getvalue(), \
-        metrics.snapshot()
-
-
-def test_single_port_wrapper_is_bit_identical_to_bare_engine():
-    bare_departures, bare_trace, bare_metrics = _run_bare()
-    wrapped_departures, wrapped_trace, wrapped_metrics = _run_wrapped()
-    assert bare_departures == wrapped_departures
-    assert bare_trace == wrapped_trace
-    # engine.schedule_us measures *wall-clock* scheduling latency —
-    # inherently non-deterministic — so compare only its sample count;
-    # every sim-time-derived metric must match exactly.
-    for snapshot in (bare_metrics, wrapped_metrics):
-        snapshot["histograms"]["engine.schedule_us"] = \
-            snapshot["histograms"]["engine.schedule_us"]["count"]
-    assert bare_metrics == wrapped_metrics
-    assert len(bare_departures) > 0
-    # No port labels leak into the compatibility path's trace.
-    assert '"port"' not in wrapped_trace
-
-
 def test_single_port_dataplane_conservation_without_buffer():
     sim = Simulator()
     link = Link(gbps(10))
     scheduler = PieoScheduler(DeficitRoundRobin(),
                               link_rate_bps=link.rate_bps)
-    dataplane = _spd_alias(sim, scheduler, link)
+    dataplane = Dataplane(sim)
+    dataplane.add_port("p0", scheduler=scheduler, link=link)
     scheduler.add_flow(FlowQueue("f"))
     CbrGenerator(sim, "f", dataplane.arrival_sink, rate_bps=gbps(4),
                  end_time=0.001).start(0.0)
@@ -133,8 +69,7 @@ def test_single_port_dataplane_conservation_without_buffer():
 # ----------------------------------------------------------------------
 # Multi-port routing and shared-buffer wiring
 # ----------------------------------------------------------------------
-def _two_port_dataplane(buffer=None, tracer=None, metrics=None,
-                        drain=None):
+def _two_port_dataplane(buffer=None, tracer=None, metrics=None):
     sim = Simulator(tracer=tracer, metrics=metrics)
     dataplane = Dataplane(
         sim, classifier=StaticClassifier({"a": "p0", "b": "p1"}),
@@ -145,7 +80,7 @@ def _two_port_dataplane(buffer=None, tracer=None, metrics=None,
             make_scheduler=lambda t, m: PieoScheduler(
                 DeficitRoundRobin(), link_rate_bps=gbps(10),
                 tracer=t, metrics=m),
-            link_rate_bps=gbps(10), drain=drain)
+            link_rate_bps=gbps(10))
     dataplane.ports["p0"].scheduler.add_flow(FlowQueue("a"))
     dataplane.ports["p1"].scheduler.add_flow(FlowQueue("b"))
     return sim, dataplane
@@ -291,9 +226,13 @@ def test_advance_to_allowed_with_single_engine():
 
 
 def test_two_engine_output_identical_drain_on_and_off():
-    def run(drain):
+    """An unobserved run (drain enabled) and a metered one (drain off)
+    of the same two-port dataplane depart identically."""
+    def run(metrics):
         reset_packet_ids()
-        sim, dataplane = _two_port_dataplane(drain=drain)
+        sim, dataplane = _two_port_dataplane(metrics=metrics)
+        assert all(port.engine.drain_enabled is (metrics is None)
+                   for port in dataplane.ports.values())
         for flow_id in ("a", "b"):
             CbrGenerator(sim, flow_id, dataplane.arrival_sink,
                          rate_bps=gbps(8), end_time=0.001).start(0.0)
@@ -301,7 +240,7 @@ def test_two_engine_output_identical_drain_on_and_off():
         return [port.recorder.departures
                 for port in dataplane.ports.values()]
 
-    assert run(drain=True) == run(drain=False)
+    assert run(metrics=None) == run(metrics=MetricsRegistry())
 
 
 def test_second_clock_consumer_sets_clock_shared():
@@ -320,7 +259,7 @@ def test_two_engines_on_shared_clock_never_enter_drain(monkeypatch):
 
     monkeypatch.setattr(TransmitEngine, "_drain", refuse)
     reset_packet_ids()
-    sim, dataplane = _two_port_dataplane(drain=True)
+    sim, dataplane = _two_port_dataplane()
     for flow_id in ("a", "b"):
         CbrGenerator(sim, flow_id, dataplane.arrival_sink,
                      rate_bps=gbps(8), end_time=0.001).start(0.0)
@@ -330,18 +269,18 @@ def test_two_engines_on_shared_clock_never_enter_drain(monkeypatch):
 
 def test_single_engine_drain_refused_tail_matches_event_loop():
     """A backlogged engine plus an unrelated ticker event every 5 us:
-    the drain both advances and, whenever the ticker falls inside a
-    transmission, hands over to its event-driven tail.  Its departures,
-    and what the ticker sees of them, equal the reference loop's."""
-    def run(drain):
+    the unobserved run's drain both advances and, whenever the ticker
+    falls inside a transmission, hands over to its event-driven tail.
+    Its departures, and what the ticker sees of them, equal those of a
+    metered run, which takes the event-driven loop throughout."""
+    def run(metrics):
         reset_packet_ids()
-        sim = Simulator()
+        sim = Simulator(metrics=metrics)
         scheduler = PieoScheduler(DeficitRoundRobin(),
                                   link_rate_bps=gbps(10))
         for flow_id in ("a", "b"):
             scheduler.add_flow(FlowQueue(flow_id))
-        engine = TransmitEngine(sim, scheduler, Link(gbps(10)),
-                                drain=drain)
+        engine = TransmitEngine(sim, scheduler, Link(gbps(10)))
         for index in range(60):
             engine.arrival_sink("a", Packet("a"))
             engine.arrival_sink("b", Packet("b", size_bytes=700))
@@ -365,9 +304,10 @@ def test_single_engine_drain_refused_tail_matches_event_loop():
         sim.run_until(0.001)
         return engine.recorder.departures, seen, outcomes
 
-    drained, drained_seen, outcomes = run(drain=True)
+    drained, drained_seen, outcomes = run(metrics=None)
     assert True in outcomes and False in outcomes
-    reference, reference_seen, no_advances = run(drain=False)
+    reference, reference_seen, no_advances = run(
+        metrics=MetricsRegistry())
     assert no_advances == []
     assert drained == reference
     assert drained_seen == reference_seen

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim.link import Link, gbps
 from repro.sim.packet import Packet
 
@@ -38,13 +39,13 @@ def test_counters_and_utilization():
 
 
 def test_rate_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         Link(0)
 
 
 @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
 def test_rate_must_be_finite_and_positive(rate):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         Link(rate)
 
 
