@@ -100,12 +100,21 @@ class LongestQueueDrop(DropPolicy):
                   reason: str) -> bool:
         # Per-flow overflow is a carve-out the flow itself exceeded;
         # evicting *other* flows would punish the innocent.  Per-port
-        # overflow is relieved only by the arriving port's own queues.
+        # overflow is relieved only by the arriving port's own queues,
+        # also while the shared limit is full too (``_violated`` names
+        # that one first): an eviction there frees both.
         if reason.startswith("flow"):
             return False
-        only_port = port_id if reason.startswith("port") else None
+        port_reason = reason.startswith("port")
+        # The per-turn carve-out check costs a call per eviction; with
+        # no per-port limit set it can never hold.
+        carved = (buffer.per_port_pkts is not None
+                  or buffer.per_port_bytes is not None)
         evicted = False
         while not buffer.would_fit(port_id, flow_id, packet):
+            only_port = (port_id if port_reason or (
+                carved and buffer.port_overflows(port_id, packet))
+                else None)
             victim = buffer.longest_queue(min_depth=2,
                                           only_port=only_port)
             if victim is None:
@@ -346,6 +355,15 @@ class BufferManager:
                 > self.per_flow_bytes:
             return "flow:bytes"
         return None
+
+    def port_overflows(self, port_id: Hashable, packet: Packet) -> bool:
+        """True when ``packet`` would exceed ``port_id``'s carve-out."""
+        return ((self.per_port_pkts is not None
+                 and self.port_pkts.get(port_id, 0) + 1
+                 > self.per_port_pkts)
+                or (self.per_port_bytes is not None
+                    and self.port_bytes.get(port_id, 0)
+                    + packet.size_bytes > self.per_port_bytes))
 
     def would_fit(self, port_id: Hashable, flow_id: Hashable,
                   packet: Packet) -> bool:

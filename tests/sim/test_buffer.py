@@ -230,6 +230,25 @@ def test_lqd_per_port_overflow_evicts_only_on_that_port():
     assert len(queues[("p0", "a")]) == 2
 
 
+def test_lqd_full_buffer_and_port_evicts_only_on_that_port():
+    # Both the shared limit and p0's carve-out are full.  The shared
+    # limit is reported first, but one p0 eviction relieves both, so
+    # p1's longer queue must not lose a packet.
+    buffer, attach, admit, queues = _lqd_buffer(capacity_bytes=None)
+    buffer.capacity_pkts = 4
+    buffer.per_port_pkts = 2
+    attach("p0")
+    attach("p1")
+    for _ in range(2):
+        assert admit("p1", "c", size=1500)
+        assert admit("p0", "a")
+    assert admit("p0", "a")
+    assert buffer.drops_by_port == {"p0": 1}
+    assert buffer.drops_by_reason == {"evicted:longest-queue": 1}
+    assert len(queues[("p1", "c")]) == 2
+    assert len(queues[("p0", "a")]) == 2
+
+
 def test_drop_tail_guard_on_flow_queue():
     queue = FlowQueue("f")
     queue.push(_pkt("f"))
