@@ -110,17 +110,10 @@ class ConformanceRun:
 
     def busy_intervals(self) -> List[Tuple[float, float]]:
         """Merged link-busy intervals from departure windows."""
-        windows = sorted(
+        return _merge([
             (timeline.depart_start, timeline.depart_end)
             for timeline in self.analysis.timelines
-            if timeline.delivered and timeline.depart_start is not None)
-        merged: List[Tuple[float, float]] = []
-        for start, end in windows:
-            if merged and start <= merged[-1][1] + TIME_TOLERANCE:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
+            if timeline.delivered and timeline.depart_start is not None])
 
     def eligible_from(self, enqueue_t: float,
                       send_time: Optional[float]) -> float:
@@ -303,14 +296,6 @@ def check_gps_delay_bound(run: ConformanceRun) -> List[Violation]:
 # ----------------------------------------------------------------------
 # Fairness envelope (DRR / WFQ family / SFQ buckets)
 # ----------------------------------------------------------------------
-def _backlogged_intervals(arrivals: List[float],
-                          departures: List[float],
-                          end_of_trace: float,
-                          ) -> List[Tuple[float, float]]:
-    return TraceAnalysis._backlogged_intervals(
-        arrivals, departures, end_of_trace)
-
-
 def _intersect_two(first: List[Tuple[float, float]],
                    second: List[Tuple[float, float]],
                    ) -> List[Tuple[float, float]]:
@@ -359,7 +344,7 @@ def check_fairness_envelope(run: ConformanceRun) -> List[Violation]:
     horizon = run.horizon()
     common: Optional[List[Tuple[float, float]]] = None
     for group in group_weight:
-        intervals = _backlogged_intervals(
+        intervals = TraceAnalysis._backlogged_intervals(
             sorted(arrivals[group]), sorted(departures[group]), horizon)
         common = (intervals if common is None
                   else _intersect_two(common, intervals))
