@@ -56,7 +56,7 @@ def run_scenario(scenario: Scenario, algorithm_name: str,
 
     reset_packet_ids(0)
     tracer = Tracer()
-    sim = Simulator(tracer=tracer)
+    sim = Simulator()
     link = Link(scenario.link_rate_bps, tracer=tracer)
     scheduler = PieoScheduler(algorithm,
                               link_rate_bps=scenario.link_rate_bps,

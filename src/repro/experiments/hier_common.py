@@ -54,11 +54,11 @@ def run_hierarchy(node_rate_gbps: Sequence[float],
 
     ``node_rate_gbps[i]`` is node i's Token Bucket rate limit.  Rates are
     measured after a warm-up window.  ``tracer``/``metrics``
-    (:mod:`repro.obs`) observe the whole stack: simulator timers, link
-    serialization, per-level enqueue/dequeue, and packet
-    arrivals/departures.
+    (:mod:`repro.obs`) observe link serialization, per-level
+    enqueue/dequeue, packet arrivals/departures and the engine's retry
+    timer.
     """
-    sim = Simulator(tracer=tracer, metrics=metrics)
+    sim = Simulator()
     link = Link(gbps(LINK_GBPS), tracer=tracer)
     node_rates = [gbps(rate) for rate in node_rate_gbps]
     root, leaves = two_level_tree(

@@ -128,7 +128,7 @@ def _incast_point(spec: Tuple, tracer=None,
     if tracer is None and traced:
         sink = io.StringIO()
         tracer = Tracer(capacity=0, sink=sink)
-    sim = Simulator(tracer=tracer, metrics=metrics)
+    sim = Simulator()
     dataplane = build_incast(sim, buffer_bytes=buffer_kib * 1024,
                              ports=ports, drop_policy=drop_policy,
                              algorithm=algorithm, duration=duration,

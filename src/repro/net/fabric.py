@@ -65,8 +65,7 @@ class Fabric:
                 f"{MTU_BYTES} B packet: every full-size packet would be "
                 "dropped")
         self.topology = topology
-        self.sim = sim if sim is not None else Simulator(
-            tracer=tracer, metrics=metrics)
+        self.sim = sim if sim is not None else Simulator()
         self.routes = build_routes(topology)
         self.collector = collector if collector is not None \
             else FctCollector()

@@ -13,7 +13,7 @@ Typical wiring::
     from repro.obs import MetricsRegistry, Tracer
 
     tracer, metrics = Tracer(), MetricsRegistry()
-    sim = Simulator(tracer=tracer)
+    sim = Simulator()
     link = Link(gbps(40), tracer=tracer)
     scheduler = PieoScheduler(algo, tracer=tracer, metrics=metrics)
     engine = TransmitEngine(sim, scheduler, link,

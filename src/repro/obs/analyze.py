@@ -158,8 +158,8 @@ def switch_analyses(events,
     links, so analysis always happens per switch track.  Single-switch
     traces yield exactly one ``(None, analysis)`` entry, keeping every
     existing caller's semantics.  An unlabelled bucket containing no
-    packet events (simulator timer/span chatter) is dropped when
-    labelled tracks exist.
+    packet events (marks or spans) is dropped when labelled tracks
+    exist.
     """
     if parent_of is None:
         parent_of = default_parent_of

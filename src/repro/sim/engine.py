@@ -20,11 +20,11 @@ Events: kicks and departure listeners are posted with
 the one event the engine may withdraw, goes through
 :meth:`Simulator.schedule` and keeps its :class:`EventHandle`.
 
-Fast path: when the run is completely unobserved (engine and simulator
-both on the null tracer/metrics), the engine *drains* — one timer
-callback transmits consecutive single-packet dequeues back to back,
-advancing the clock through :meth:`Simulator.advance_to` instead of
-scheduling one timer event per packet.  The drain falls back to the
+Fast path: when the engine is unobserved (null tracer and metrics), it
+*drains* — one timer callback transmits consecutive single-packet
+dequeues back to back, advancing the clock through
+:meth:`Simulator.advance_to` instead of scheduling one timer event per
+packet.  The drain falls back to the
 event-driven tail the moment any pending event would interleave, so the
 Recorder output (order, times, packet ids) is bit-identical to the
 unbatched path; only ``events_fired`` accounting is condensed (each
@@ -101,9 +101,7 @@ class TransmitEngine:
         self._metered = self.metrics is not NULL_METRICS
         # Drain only when nothing observes the event-level behaviour
         # the drain condenses.
-        self.drain_enabled = (not self._traced and not self._metered
-                              and sim.tracer is NULL_TRACER
-                              and sim.metrics is NULL_METRICS)
+        self.drain_enabled = not self._traced and not self._metered
         #: Per-flow departure callbacks (e.g. BackloggedSource refills).
         self.departure_listeners: Dict[Hashable,
                                        Callable[[], None]] = {}

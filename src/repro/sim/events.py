@@ -14,8 +14,8 @@ comparison never reaches the callback).  There are two ways in:
   the callers that never cancel: every per-packet event (kicks,
   departure listeners, generators, fabric hops).
 
-Both draw ``seq`` from one counter, so trace ids and the timer
-lifecycle events do not depend on which entry point armed an event.
+Both draw ``seq`` from one counter, so same-instant events fire in
+the order they were armed, whichever entry point armed them.
 
 Cancellation is lazy: :meth:`EventHandle.cancel` marks the handle and
 the entry is discarded when it surfaces.  To keep the resident set
@@ -26,9 +26,13 @@ queues never bother).
 
 Dispatch: :meth:`Simulator.run`/:meth:`Simulator.run_until` pop the
 heap in one loop of their own and call each callback directly, with no
-per-event method frame; on an observed simulator the loop emits
-``timer_fire`` and updates the gauges exactly as :meth:`Simulator.step`
-(the public single-step call) does.
+per-event method frame, doing exactly what :meth:`Simulator.step` (the
+public single-step call) does.
+
+The simulator has no observers: the event queue is scaffolding of the
+simulation, not part of the modelled scheduler, so an observed run
+dispatches through the same code as an unobserved one.  The components
+it drives (engines, buffers, schedulers) carry their own observers.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.scope import NULL_METRICS, NULL_TRACER
 
 EventCallback = Callable[[], None]
 
@@ -55,33 +58,23 @@ COMPACT_MIN_CANCELLED = 64
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`; supports cancel."""
 
-    __slots__ = ("time", "cancelled", "event_id", "tracer", "sim", "fired")
+    __slots__ = ("time", "cancelled", "sim", "fired")
 
-    def __init__(self, time: float, event_id: int = -1,
-                 tracer=NULL_TRACER, sim=None) -> None:
+    def __init__(self, time: float, sim=None) -> None:
         self.time = time
         self.cancelled = False
-        self.event_id = event_id
-        self.tracer = tracer
         self.sim = sim
         self.fired = False
 
     def cancel(self) -> None:
         """Withdraw the event.  A no-op once it has fired or been
-        cancelled: each ``timer_arm`` gets exactly one ``timer_fire`` or
-        ``timer_cancel``."""
+        cancelled, so a fired event is never counted as a cancelled
+        resident."""
         if self.cancelled or self.fired:
             return
         self.cancelled = True
         if self.sim is not None:
-            self.sim._note_cancel()
-        # Stamp the cancel at the *current* sim time (the instant it
-        # happens); the armed deadline rides along as a field.  The
-        # deadline is usually in the future, and stamping it as the
-        # event time makes traced streams non-monotonic.
-        now = self.sim.now if self.sim is not None else self.time
-        self.tracer.timer_cancel(now, self.event_id,
-                                 scope="sim", deadline=self.time)
+            self.sim._queue.note_cancel()
 
 
 # ----------------------------------------------------------------------
@@ -162,25 +155,10 @@ class HeapEventQueue:
 # Simulator
 # ----------------------------------------------------------------------
 class Simulator:
-    """Event loop with absolute-time scheduling.
+    """Event loop with absolute-time scheduling."""
 
-    ``tracer`` (a :class:`repro.obs.trace.Tracer`) observes the timer
-    lifecycle: every scheduled event emits ``timer_arm``, and exactly one
-    of ``timer_fire`` (dispatched) or ``timer_cancel`` (cancelled via its
-    handle) follows — events still pending when the run stops emit
-    neither.  The default is the shared null tracer.
-
-    ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) exposes
-    ``sim.pending_events`` / ``sim.cancelled_events`` gauges tracking the
-    live and cancelled-but-resident event populations (updated on every
-    schedule/cancel/fire, so the gauge watermarks bound the queue's
-    footprint over the whole run).
-    """
-
-    def __init__(self, tracer=None, metrics=None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self._queue = HeapEventQueue()
         # The queue's heap list, which compaction never replaces: the
         # hot paths push and pop it without a method frame.
@@ -200,13 +178,8 @@ class Simulator:
         #: :meth:`advance_to` is then refused, so consumers can skip
         #: their fast-forward paths without asking.
         self.clock_shared = False
-        self._traced = self.tracer is not NULL_TRACER
-        self._metered = self.metrics is not NULL_METRICS
-        if self._metered:
-            self._g_pending = self.metrics.gauge("sim.pending_events")
-            self._g_cancelled = self.metrics.gauge("sim.cancelled_events")
 
-    # -- gauges --------------------------------------------------------
+    # -- queue population ----------------------------------------------
     @property
     def pending_events(self) -> int:
         """Live (non-cancelled) events currently resident."""
@@ -217,17 +190,6 @@ class Simulator:
         """Cancelled events still occupying queue space."""
         return self._queue.cancelled
 
-    def _update_gauges(self) -> None:
-        queue = self._queue
-        self._g_pending.set(len(queue))
-        self._g_cancelled.set(queue.cancelled)
-
-    def _note_cancel(self) -> None:
-        """Called by :meth:`EventHandle.cancel` for resident entries."""
-        self._queue.note_cancel()
-        if self._metered:
-            self._update_gauges()
-
     # -- scheduling ----------------------------------------------------
     def schedule(self, time: float, callback: EventCallback) -> EventHandle:
         """Run ``callback`` at absolute ``time`` (>= now); the returned
@@ -235,31 +197,20 @@ class Simulator:
         if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}")
-        seq = next(self._seq)
-        handle = EventHandle(time, event_id=seq, tracer=self.tracer,
-                             sim=self)
-        if self._traced:
-            self.tracer.timer_arm(self.now, seq, deadline=time, scope="sim")
-        heappush(self._heap, (time, seq, callback, handle))
-        if self._metered:
-            self._update_gauges()
+        handle = EventHandle(time, sim=self)
+        heappush(self._heap, (time, next(self._seq), callback, handle))
         return handle
 
     def post(self, time: float, callback: EventCallback) -> None:
         """Run ``callback`` at absolute ``time`` (>= now); the event
         cannot be cancelled.
 
-        Like :meth:`schedule` (same sequence numbers, same trace and
-        gauge updates) but allocates no handle."""
+        Like :meth:`schedule` (same sequence numbers) but allocates no
+        handle."""
         if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}")
-        seq = next(self._seq)
-        if self._traced:
-            self.tracer.timer_arm(self.now, seq, deadline=time, scope="sim")
-        heappush(self._heap, (time, seq, callback, None))
-        if self._metered:
-            self._update_gauges()
+        heappush(self._heap, (time, next(self._seq), callback, None))
 
     def schedule_in(self, delay: float,
                     callback: EventCallback) -> EventHandle:
@@ -277,15 +228,11 @@ class Simulator:
         entry = self._queue.pop()
         if entry is None:
             return False
-        time, seq, callback, handle = entry
+        time, _, callback, handle = entry
         if handle is not None:
             handle.fired = True
         self.now = time
         self.events_fired += 1
-        if self._traced:
-            self.tracer.timer_fire(time, seq, scope="sim")
-        if self._metered:
-            self._update_gauges()
         callback()
         return True
 
@@ -382,17 +329,14 @@ class Simulator:
         Returns False, leaving the next due event pending, once
         ``events_fired`` reaches ``budget``.  Pops the heap here and
         calls each callback directly, doing exactly what :meth:`step`
-        does per event (``timer_fire`` when traced, gauges when metered)
-        without its frame.
+        does per event without its frame.
         """
         if budget is None:
             budget = math.inf
         heap = self._heap
         queue = self._queue
-        traced = self._traced
-        metered = self._metered
         while heap:
-            time, seq, callback, handle = heap[0]
+            time, _, callback, handle = heap[0]
             if handle is not None and handle.cancelled:
                 heappop(heap)
                 queue._cancelled -= 1
@@ -406,9 +350,5 @@ class Simulator:
                 handle.fired = True
             self.now = time
             self.events_fired += 1
-            if traced:
-                self.tracer.timer_fire(time, seq, scope="sim")
-            if metered:
-                self._update_gauges()
             callback()
         return True

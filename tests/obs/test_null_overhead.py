@@ -18,7 +18,7 @@ from repro.sim import (BackloggedSource, FlowQueue, Link, Simulator,
 
 
 def _run_small_sim(tracer=None, metrics=None):
-    sim = Simulator(tracer=tracer)
+    sim = Simulator()
     link = Link(gbps(10), tracer=tracer)
     scheduler = PieoScheduler(WF2Qplus(), link_rate_bps=link.rate_bps,
                               tracer=tracer, metrics=metrics)
@@ -38,7 +38,6 @@ def test_default_components_share_the_null_singletons():
     engine = _run_small_sim()
     assert engine.tracer is NULL_TRACER
     assert engine.metrics is NULL_METRICS
-    assert engine.sim.tracer is NULL_TRACER
     assert engine.link.tracer is NULL_TRACER
     assert engine.scheduler.tracer is NULL_TRACER
 

@@ -1,8 +1,7 @@
 """Golden digests of whole JSONL traces.
 
 Each test runs a small traced simulation and compares the sha256 of the
-trace it streamed against a digest recorded before the one-pass
-encoder replaced the ``json.dumps`` chain.  The four runs cover the
+trace it streamed against a recorded digest.  The four runs cover the
 plain tracer (hierarchy), ``port``-labelled views over a shared buffer
 (incast), ``switch``-labelled views on a fabric (FCT), and the sharded
 sweep whose worker lines the parent re-emits through ``absorb_jsonl``
@@ -22,13 +21,16 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.sim.events import Simulator
 from repro.sim.packet import reset_packet_ids
 
+# Re-recorded when the simulator stopped tracing its own event queue:
+# each trace is the previous one with its ``"scope":"sim"`` timer lines
+# removed.
 GOLDEN = {
-    "hier": "9a8cbd6f995867a758215f20933308325dd97720de8f7a4fef9a9c5968840fbb",
+    "hier": "f1633795deb157b1b06f3a701435fba0264589e230d2e689a62a87e00002df24",
     "incast":
-        "5c11b22db050915dd0eb29c0523ced01ea534bde4885960c4851c8e93d5dfb8f",
-    "fct": "f248ed55b68caee2f0d24de866dbee97904ccd80dc3e3894ac2ddf09d55b5dbe",
+        "43719f9d91fedb23bb05bd7dd4e989f36b62dec8821ed3148ab0a094b4553903",
+    "fct": "20b2440ab5a9e015cbe07fb910dff56eddd74d5ca9d5664952525b227bcf092d",
     "fig11_jobs2":
-        "21d4368d3026d5bd65ea92a75f9c3630affac8ed10d4e910ba7faed3b1b5e09f",
+        "012057dfaa261d3aec86548dc1c802777f7de72975232b1cb10e1b3cf0f9b15d",
 }
 
 
@@ -53,7 +55,7 @@ def hier_trace(capacity=0) -> tuple:
 
 def incast_trace() -> str:
     def run(tracer):
-        sim = Simulator(tracer=tracer)
+        sim = Simulator()
         build_incast(sim, buffer_bytes=64 * 1024, ports=4,
                      drop_policy="longest-queue", duration=0.001,
                      tracer=tracer)

@@ -70,7 +70,7 @@ def test_single_port_dataplane_conservation_without_buffer():
 # Multi-port routing and shared-buffer wiring
 # ----------------------------------------------------------------------
 def _two_port_dataplane(buffer=None, tracer=None, metrics=None):
-    sim = Simulator(tracer=tracer, metrics=metrics)
+    sim = Simulator()
     dataplane = Dataplane(
         sim, classifier=StaticClassifier({"a": "p0", "b": "p1"}),
         buffer=buffer, tracer=tracer, metrics=metrics)
@@ -275,12 +275,14 @@ def test_single_engine_drain_refused_tail_matches_event_loop():
     metered run, which takes the event-driven loop throughout."""
     def run(metrics):
         reset_packet_ids()
-        sim = Simulator(metrics=metrics)
+        sim = Simulator()
         scheduler = PieoScheduler(DeficitRoundRobin(),
                                   link_rate_bps=gbps(10))
         for flow_id in ("a", "b"):
             scheduler.add_flow(FlowQueue(flow_id))
-        engine = TransmitEngine(sim, scheduler, Link(gbps(10)))
+        engine = TransmitEngine(sim, scheduler, Link(gbps(10)),
+                                metrics=metrics)
+        assert engine.drain_enabled == (metrics is None)
         for index in range(60):
             engine.arrival_sink("a", Packet("a"))
             engine.arrival_sink("b", Packet("b", size_bytes=700))

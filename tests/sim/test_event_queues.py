@@ -12,7 +12,6 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import MetricsRegistry, Tracer
 from repro.sim.events import COMPACT_MIN_CANCELLED, Simulator
 
 
@@ -50,7 +49,8 @@ def test_cancel_after_fire_is_noop():
     handle = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.run()
-    handle.cancel()  # already fired: must not corrupt the gauges
+    handle.cancel()  # already fired: must not count as a cancelled resident
+    assert not handle.cancelled
     assert sim.cancelled_events == 0
 
 
@@ -172,26 +172,24 @@ def test_compaction_bounds_resident_under_cancel_churn():
     """A retry-timer workload (arm, cancel, re-arm x5000) must not grow
     the queue: lazy cancellation alone would retain every dead entry
     until its time surfaced, but compaction rebuilds once dead entries
-    outnumber live ones.  The obs gauges see the same bound."""
-    metrics = MetricsRegistry()
-    sim = Simulator(metrics=metrics)
+    outnumber live ones.  The live and cancelled populations, sampled
+    after every cancel, stay within the same bound."""
+    sim = Simulator()
     sim.schedule(1.0, lambda: None)  # one live keeper
-    peak_resident = 0
+    peak_resident = peak_cancelled = peak_pending = 0
     for _ in range(5_000):
         handle = sim.schedule(0.5, lambda: None)
         handle.cancel()
         peak_resident = max(peak_resident, sim._queue.resident)
+        peak_cancelled = max(peak_cancelled, sim.cancelled_events)
+        peak_pending = max(peak_pending, sim.pending_events)
     bound = 2 * COMPACT_MIN_CANCELLED + 8
     assert peak_resident <= bound
+    assert peak_cancelled <= bound
+    assert peak_pending <= bound
     assert sim.pending_events == 1
-    assert sim.cancelled_events <= bound
-    cancelled_gauge = metrics.gauge("sim.cancelled_events")
-    pending_gauge = metrics.gauge("sim.pending_events")
-    assert cancelled_gauge.max <= bound
-    assert pending_gauge.max <= bound
     sim.run()
     assert sim.pending_events == 0
-    assert pending_gauge.value == 0
 
 
 def test_tiny_queues_skip_compaction():
@@ -207,7 +205,7 @@ def test_tiny_queues_skip_compaction():
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: both entry points, both dispatch paths, timer lifecycle
+# Hypothesis: both entry points against the oracle
 # ----------------------------------------------------------------------
 _MIXED_COMMANDS = st.lists(
     st.one_of(
@@ -222,13 +220,12 @@ _MIXED_COMMANDS = st.lists(
 class _MixedOracle(_Oracle):
     """The oracle with handle-free rows.  Only rows armed by
     ``schedule`` can be cancelled; a chained row inherits its parent's
-    entry point.  ``fired_seqs`` lists the rows fired, in order."""
+    entry point."""
 
     def __init__(self):
         super().__init__()
         self.cancellable = []  # per row
         self.handles = []  # indices of cancellable rows
-        self.fired_seqs = []
 
     def arm(self, time, label, chain_delay, cancellable):
         if cancellable:
@@ -250,7 +247,6 @@ class _MixedOracle(_Oracle):
             self.now = row[0]
             self.fired += 1
             self.log.append((row[2], self.now))
-            self.fired_seqs.append(row[1])
             if row[3] is not None:
                 self.arm(self.now + row[3], next(labels), None,
                          self.cancellable[row[1]])
@@ -258,12 +254,11 @@ class _MixedOracle(_Oracle):
             self.now = end_time
 
 
-def _simulate_mixed(commands, tracer=None):
+def _simulate_mixed(commands):
     """Run a program of cancellable (``schedule``) and handle-free
     (``post``) events through a Simulator.  Returns (firing log, final
-    now, events fired), the seqs still pending before the final drain,
-    and how many trace events ``tracer`` held then."""
-    sim = Simulator(tracer=tracer)
+    now, events fired)."""
+    sim = Simulator()
     log = []
     handles = []
     labels = itertools.count()
@@ -293,11 +288,8 @@ def _simulate_mixed(commands, tracer=None):
                 handles[value % len(handles)].cancel()
         else:  # advance
             sim.run_until(sim.now + value)
-    pending = {entry[1] for entry in sim._queue._heap
-               if entry[3] is None or not entry[3].cancelled}
-    traced_before_drain = len(tracer.events) if tracer is not None else 0
     sim.run()
-    return (log, sim.now, sim.events_fired), pending, traced_before_drain
+    return log, sim.now, sim.events_fired
 
 
 def _oracle_mixed(commands):
@@ -313,50 +305,16 @@ def _oracle_mixed(commands):
             oracle.cancel(value)
         else:  # advance
             oracle.run_until(oracle.now + value, labels)
-    armed_before_drain = len(oracle.rows)
     oracle.run_until(None, labels)
-    return ((oracle.log, oracle.now, oracle.fired), oracle.fired_seqs,
-            armed_before_drain)
-
-
-def _timer_outcomes(events):
-    """Armed timer ids, and the fire/cancel events seen per id."""
-    arms, outcomes = [], {}
-    for event in events:
-        if event.kind == "timer_arm":
-            arms.append(event.fields["id"])
-        elif event.kind in ("timer_fire", "timer_cancel"):
-            outcomes.setdefault(event.fields["id"], []).append(event.kind)
-    return arms, outcomes
+    return oracle.log, oracle.now, oracle.fired
 
 
 @given(commands=_MIXED_COMMANDS)
 @settings(max_examples=100, deadline=None)
 def test_mixed_entry_points_match_brute_force_oracle(commands):
-    """Unobserved (inline dispatch) and traced (``step``) simulators
-    fire the same events in the oracle's ``(time, seq)`` order, and the
-    trace accounts for every timer exactly once."""
-    expected, fired_seqs, armed_before_drain = _oracle_mixed(commands)
-    assert _simulate_mixed(commands)[0] == expected
-
-    tracer = Tracer()
-    result, pending, traced_before_drain = _simulate_mixed(commands,
-                                                           tracer)
-    assert result == expected
-    assert [event.fields["id"] for event in tracer.events
-            if event.kind == "timer_fire"] == fired_seqs
-    # Before the final drain: one fire or cancel per armed timer, or
-    # neither while it is still pending.
-    arms, outcomes = _timer_outcomes(tracer.events[:traced_before_drain])
-    assert arms == list(range(armed_before_drain))
-    for timer_id in arms:
-        expected_count = 0 if timer_id in pending else 1
-        assert len(outcomes.get(timer_id, [])) == expected_count
-    # After it: exactly one each.
-    arms, outcomes = _timer_outcomes(tracer.events)
-    assert arms == list(range(len(arms)))
-    for timer_id in arms:
-        assert len(outcomes[timer_id]) == 1
+    """Cancellable and handle-free events fire in the oracle's
+    ``(time, seq)`` order."""
+    assert _simulate_mixed(commands) == _oracle_mixed(commands)
 
 
 def test_compaction_under_churn_with_handle_free_events():
