@@ -101,8 +101,8 @@ class LongestQueueDrop(DropPolicy):
         # Per-flow overflow is a carve-out the flow itself exceeded;
         # evicting *other* flows would punish the innocent.  Per-port
         # overflow is relieved only by the arriving port's own queues,
-        # also while the shared limit is full too (``_violated`` names
-        # that one first): an eviction there frees both.
+        # even when the shared limit is full as well (``_violated``
+        # names that one first): an eviction there frees both.
         if reason.startswith("flow"):
             return False
         port_reason = reason.startswith("port")

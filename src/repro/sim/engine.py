@@ -24,13 +24,13 @@ Fast path: when the engine is unobserved (null tracer and metrics), it
 *drains* — one timer callback transmits consecutive single-packet
 dequeues back to back, advancing the clock through
 :meth:`Simulator.advance_to` instead of scheduling one timer event per
-packet.  The drain falls back to the
-event-driven tail the moment any pending event would interleave, so the
-Recorder output (order, times, packet ids) is bit-identical to the
-unbatched path; only ``events_fired`` accounting is condensed (each
-successful advance still counts as one event).  On a simulator shared by
-several engines every advance is refused, so the engine skips the drain
-there and runs the event-driven loop directly.
+packet.  The drain falls back to the event-driven tail the moment any
+pending event would interleave, so the Recorder output (order, times,
+packet ids) is bit-identical to the unbatched path; only
+``events_fired`` accounting is condensed (each successful advance still
+counts as one event).  On a simulator shared by several engines every
+advance is refused, so the engine skips the drain there and runs the
+event-driven loop directly.
 """
 
 from __future__ import annotations

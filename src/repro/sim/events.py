@@ -60,7 +60,7 @@ class EventHandle:
 
     __slots__ = ("time", "cancelled", "sim", "fired")
 
-    def __init__(self, time: float, sim=None) -> None:
+    def __init__(self, time: float, sim: "Simulator") -> None:
         self.time = time
         self.cancelled = False
         self.sim = sim
@@ -73,8 +73,7 @@ class EventHandle:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        if self.sim is not None:
-            self.sim._queue.note_cancel()
+        self.sim._queue.note_cancel()
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +196,7 @@ class Simulator:
         if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self.now}")
-        handle = EventHandle(time, sim=self)
+        handle = EventHandle(time, self)
         heappush(self._heap, (time, next(self._seq), callback, handle))
         return handle
 
