@@ -133,3 +133,20 @@ def test_peek_next_time_skips_cancelled():
     handle.cancel()
     assert sim.peek_next_time() == 2.0
 
+
+
+def test_cancel_after_fire_emits_nothing():
+    """Cancelling a handle whose event already fired is a full no-op:
+    the handle is not marked cancelled, and no counter or resident
+    entry of the simulator moves, also on a second cancel."""
+    sim = Simulator()
+    handle = sim.schedule(1.0, lambda: None)
+    sim.run()
+    fired, resident = sim.events_fired, sim._queue.resident
+    handle.cancel()
+    handle.cancel()
+    assert not handle.cancelled
+    assert sim.cancelled_events == 0
+    assert sim.pending_events == 0
+    assert sim.events_fired == fired
+    assert sim._queue.resident == resident
