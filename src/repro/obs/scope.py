@@ -117,15 +117,14 @@ class NullTracer:
     def drop(self, time, flow_id, reason="", **fields) -> None:
         pass
 
-    def timer_arm(self, time, timer_id, deadline, scope="sim",
+    def timer_arm(self, time, timer_id, deadline, *, scope,
                   **fields) -> None:
         pass
 
-    def timer_fire(self, time, timer_id, scope="sim", **fields) -> None:
+    def timer_fire(self, time, timer_id, *, scope, **fields) -> None:
         pass
 
-    def timer_cancel(self, time, timer_id, scope="sim",
-                     **fields) -> None:
+    def timer_cancel(self, time, timer_id, *, scope, **fields) -> None:
         pass
 
     def kick(self, time, at=None, **fields) -> None:

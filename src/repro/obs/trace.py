@@ -3,8 +3,8 @@
 A :class:`Tracer` collects typed :class:`TraceEvent` records from every
 instrumented layer — packet arrivals and departures from the transmit
 engine, ordered-list enqueues/dequeues from the scheduling framework,
-timer lifecycle from the simulator and the engine's retry path, link
-busy/idle transitions — and can either retain them (unbounded, or in a
+the lifecycle of the engine's retry timer, link busy/idle
+transitions — and can either retain them (unbounded, or in a
 bounded ring buffer) or stream them to a JSONL sink as they happen.
 
 The event vocabulary is fixed (:data:`EVENT_KINDS`); each event is one
@@ -48,8 +48,8 @@ EVENT_KINDS = (
 )
 
 
-#: Field names every event record already carries.
-_RESERVED_FIELDS = ("t", "kind")
+#: Field names every event record already carries, and what they hold.
+_RESERVED_FIELDS = {"t": "sim time", "kind": "kind"}
 
 
 def _json_safe(value):
@@ -136,65 +136,85 @@ class TraceEvent:
 
 
 class _TypedEmitters:
-    """The typed event vocabulary, expressed in terms of ``self.emit``.
+    """The typed event vocabulary, expressed in terms of ``self._record``.
 
     Shared by :class:`Tracer` (which stores/streams events) and
     :class:`LabelledTracer` (which stamps constant fields and
     delegates), so both expose the identical instrumented-layer surface.
+    Each emitter builds its event's field dict once, named fields first
+    and extra ones after, and hands it to ``_record(time, kind,
+    fields)``, which owns the dict from then on.
     """
 
     def arrival(self, time, flow_id: Hashable, size_bytes: int,
                 packet_id=None, **fields) -> None:
-        self.emit(time, "arrival", flow_id=flow_id,
-                  size_bytes=size_bytes, packet_id=packet_id, **fields)
+        self._record(time, "arrival", {
+            "flow_id": flow_id, "size_bytes": size_bytes,
+            "packet_id": packet_id, **fields})
 
     def enqueue(self, time, flow_id: Hashable, rank, send_time,
                 **fields) -> None:
-        self.emit(time, "enqueue", flow_id=flow_id, rank=rank,
-                  send_time=send_time, **fields)
+        self._record(time, "enqueue", {
+            "flow_id": flow_id, "rank": rank, "send_time": send_time,
+            **fields})
 
     def dequeue(self, time, flow_id: Hashable, rank=None,
                 **fields) -> None:
-        self.emit(time, "dequeue", flow_id=flow_id, rank=rank, **fields)
+        self._record(time, "dequeue", {
+            "flow_id": flow_id, "rank": rank, **fields})
 
     def departure(self, time, flow_id: Hashable, size_bytes: int,
                   packet_id=None, finish=None, **fields) -> None:
-        self.emit(time, "departure", flow_id=flow_id,
-                  size_bytes=size_bytes, packet_id=packet_id,
-                  finish=finish, **fields)
+        self._record(time, "departure", {
+            "flow_id": flow_id, "size_bytes": size_bytes,
+            "packet_id": packet_id, "finish": finish, **fields})
 
     def drop(self, time, flow_id: Hashable, reason: str = "",
              **fields) -> None:
-        self.emit(time, "drop", flow_id=flow_id, reason=reason, **fields)
+        self._record(time, "drop", {
+            "flow_id": flow_id, "reason": reason, **fields})
 
-    def timer_arm(self, time, timer_id, deadline,
-                  scope: str = "sim", **fields) -> None:
-        self.emit(time, "timer_arm", id=timer_id, deadline=deadline,
-                  scope=scope, **fields)
+    def timer_arm(self, time, timer_id, deadline, *, scope: str,
+                  **fields) -> None:
+        self._record(time, "timer_arm", {
+            "id": timer_id, "deadline": deadline, "scope": scope,
+            **fields})
 
-    def timer_fire(self, time, timer_id, scope: str = "sim",
+    def timer_fire(self, time, timer_id, *, scope: str,
                    **fields) -> None:
-        self.emit(time, "timer_fire", id=timer_id, scope=scope, **fields)
+        self._record(time, "timer_fire", {
+            "id": timer_id, "scope": scope, **fields})
 
-    def timer_cancel(self, time, timer_id, scope: str = "sim",
+    def timer_cancel(self, time, timer_id, *, scope: str,
                      **fields) -> None:
-        self.emit(time, "timer_cancel", id=timer_id, scope=scope,
-                  **fields)
+        self._record(time, "timer_cancel", {
+            "id": timer_id, "scope": scope, **fields})
 
     def kick(self, time, at=None, **fields) -> None:
-        self.emit(time, "kick", at=at, **fields)
+        self._record(time, "kick", {"at": at, **fields})
 
     def link_busy(self, time, until=None, flow_id=None,
                   **fields) -> None:
-        self.emit(time, "link_busy", until=until, flow_id=flow_id,
-                  **fields)
+        self._record(time, "link_busy", {
+            "until": until, "flow_id": flow_id, **fields})
 
     def link_idle(self, time, **fields) -> None:
-        self.emit(time, "link_idle", **fields)
+        self._record(time, "link_idle", fields)
 
     def mark(self, time, label: str, **fields) -> None:
         """Free-form annotation, e.g. a sweep-point boundary."""
-        self.emit(time, "mark", label=label, **fields)
+        self._record(time, "mark", {"label": label, **fields})
+
+    def emit(self, time: float, kind: str, **fields) -> None:
+        """Record one event of any ``kind`` from :data:`EVENT_KINDS`;
+        no field may be named ``t`` or ``kind``.
+
+        The public entry to the line builder the typed emitters above
+        hand their field dicts to: the keyword arguments are the one
+        dict of the event, and a streamed event costs two Python frames
+        (this one and ``_record``), as through a typed emitter.
+        """
+        self._record(time, kind, fields)
 
     def span(self, name: str, sim_time: float = 0.0) -> Span:
         """``with tracer.span("schedule"):`` — wall-clock a region and
@@ -233,15 +253,13 @@ class Tracer(_TypedEmitters):
         self._retain = capacity is None or capacity > 0
         self._sink = sink
         self._owns_sink = False
-        #: Total events emitted (including ring evictions).
-        self.emitted = 0
         #: Events evicted by the ring buffer.
         self.dropped = 0
         #: Emission count per event kind.
         self.counts: Dict[str, int] = {}
         self.enabled = True
         #: JSON texts of streamed ``float``/``str`` values, and the
-        #: ``,"name":`` texts of field names (see :meth:`emit`).
+        #: ``,"name":`` texts of field names (see :meth:`_record`).
         self._texts: Dict[object, str] = {}
         self._names: Dict[str, str] = {}
 
@@ -270,20 +288,21 @@ class Tracer(_TypedEmitters):
     # ------------------------------------------------------------------
     # Core emission
     # ------------------------------------------------------------------
-    def emit(self, time: float, kind: str, **fields) -> None:
-        """Record one event; ``kind`` must come from
-        :data:`EVENT_KINDS` and no field may be named ``t``.
+    def _record(self, time, kind: str,
+                fields: Dict[str, object]) -> None:
+        """Record one event from its field dict, which it keeps.
 
         One frame per event: the kind is validated the first time it is
         counted, and a :class:`TraceEvent` is built only when events are
-        retained.  A streamed line is concatenated from the texts of its
-        scalars: an exact ``float`` or ``str`` is looked up in the
-        tracer's memo of JSON texts (filled on a miss, cleared at
-        :data:`_MEMO_BOUND` entries), an exact ``int``, a ``bool`` or
-        ``None`` is rendered inline, and field names come from a second
-        memo.  Any other value -- a non-finite float, a subclass, a
-        container -- sends the whole record to the prebuilt C encoder
-        (see :func:`_record_json`, inlined here).  Either way the line is
+        retained.  A streamed line is built from the texts of its
+        scalars, one f-string per field: an exact ``float`` or ``str``
+        is looked up in the tracer's memo of JSON texts (filled on a
+        miss, cleared at :data:`_MEMO_BOUND` entries), an exact
+        ``int``, a ``bool`` or ``None`` is rendered inline, and the
+        ``,"name":`` text of a field name comes from a second memo.
+        Any other value -- a non-finite float, a subclass, a container
+        -- sends the whole record to the prebuilt C encoder (see
+        :func:`_record_json`, inlined here).  Either way the line is
         byte for byte what ``json.dumps`` gives.
         """
         if not self.enabled:
@@ -296,16 +315,16 @@ class Tracer(_TypedEmitters):
                     f"unknown trace event kind {kind!r}; "
                     f"expected one of {', '.join(EVENT_KINDS)}")
             count = 0
-        if "t" in fields:
-            raise ValueError("trace field name 't' is reserved for the "
-                             "event's sim time")
-        events = self._events
-        if len(events) == self._capacity:
-            self.dropped += 1
-        if self._retain:
-            events.append(TraceEvent(time, kind, fields))
-        self.emitted += 1
+        if "t" in fields or "kind" in fields:
+            name = "t" if "t" in fields else "kind"
+            raise ValueError(f"trace field name {name!r} is reserved for "
+                             f"the event's {_RESERVED_FIELDS[name]}")
         counts[kind] = count + 1
+        if self._retain:
+            events = self._events
+            if len(events) == self._capacity:
+                self.dropped += 1
+            events.append(TraceEvent(time, kind, fields))
         sink = self._sink
         if sink is None:
             return
@@ -344,7 +363,7 @@ class Tracer(_TypedEmitters):
                 if len(names) >= _MEMO_BOUND:
                     names.clear()
                 name = names[key] = f",{encode_basestring_ascii(key)}:"
-            line += name + text
+            line = f"{line}{name}{text}"
         else:
             # The sim time, with the same memo; any other time takes the
             # C encoder below.
@@ -357,7 +376,7 @@ class Tracer(_TypedEmitters):
                             texts.clear()
                         texts[time] = text
                 if text is not None:
-                    sink.write('{"t":' + text + line + "}\n")
+                    sink.write(f'{{"t":{text}{line}}}\n')
                     return
         record = {"t": time, "kind": kind, **fields}
         try:
@@ -369,6 +388,11 @@ class Tracer(_TypedEmitters):
     # ------------------------------------------------------------------
     # Access and export
     # ------------------------------------------------------------------
+    @property
+    def emitted(self) -> int:
+        """Total events emitted (including ring evictions)."""
+        return sum(self.counts.values())
+
     @property
     def events(self) -> Sequence[TraceEvent]:
         return self._events
@@ -417,7 +441,7 @@ class Tracer(_TypedEmitters):
                 raise ValueError(
                     f"line {number}: trace line needs a numeric 't' "
                     "and a known 'kind'")
-            self.emit(time, kind, **record)
+            self._record(time, kind, record)
             count += 1
         return count
 
@@ -456,12 +480,13 @@ class LabelledTracer(_TypedEmitters):
             self._root = base
         self._stamp = stamp
 
-    def emit(self, time: float, kind: str, **fields) -> None:
+    def _record(self, time, kind: str,
+                fields: Dict[str, object]) -> None:
         # Explicit fields keep their place and value; the labels they
         # lack follow in label order.
         stamped = {**fields, **self._stamp}
         stamped.update(fields)
-        self._root.emit(time, kind, **stamped)
+        self._root._record(time, kind, stamped)
 
     @property
     def enabled(self) -> bool:

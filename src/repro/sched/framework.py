@@ -39,7 +39,7 @@ from repro.core.element import ALWAYS_ELIGIBLE, Element, Rank, Time
 from repro.core.interfaces import PieoList
 from repro.errors import (ConfigurationError, SimulationError,
                           UnknownFlowError)
-from repro.obs.scope import NULL_METRICS, NULL_TRACER
+from repro.obs.scope import NULL_COUNTER, NULL_METRICS, NULL_TRACER
 from repro.sched.base import SchedulingAlgorithm, TimeBase, TriggerModel
 from repro.sim.flow import FlowQueue
 from repro.sim.packet import Packet
@@ -287,11 +287,6 @@ class PieoScheduler:
         self.link_rate_bps = link_rate_bps
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        #: True when nothing observes this scheduler; hot paths skip
-        #: tracer emission, counters, and residency bookkeeping entirely
-        #: (the bookkeeping only feeds trace-based latency attribution).
-        self._quiet = (self.tracer is NULL_TRACER
-                       and self.metrics is NULL_METRICS)
         #: True when the algorithm keeps the stock eligibility_time, so
         #: the dequeue loop can read the threshold directly instead of
         #: calling through the context per decision.
@@ -300,16 +295,28 @@ class PieoScheduler:
             is SchedulingAlgorithm.eligibility_time)
         #: True when eligibility is evaluated against virtual time.
         self._virtual = algorithm.time_base is TimeBase.VIRTUAL
+        #: True when a send time is a wall-clock instant.
+        self._wall = algorithm.time_base is TimeBase.WALL
         self._g_depth = self.metrics.gauge("sched.queue_depth")
         self._c_enqueues = self.metrics.counter("sched.enqueues")
         self._c_dequeues = self.metrics.counter("sched.dequeues")
+        #: Who observes this scheduler: the tracer gets ``enqueue`` /
+        #: ``dequeue`` events and the residency bookkeeping below, live
+        #: instruments (any null registry hands out the shared null
+        #: ones) are updated by direct attribute writes.  A quiet
+        #: scheduler skips all of it.
+        self._traced = self.tracer is not NULL_TRACER
+        self._metered = self._c_enqueues is not NULL_COUNTER
+        self._quiet = not self._traced and not self._metered
         self.flows: Dict[Hashable, FlowQueue] = {}
-        #: Residency bookkeeping for eligibility attribution: flow_id ->
-        #: (enqueue wall time, eligible at enqueue).  Mirrors ordered-list
-        #: membership; consulted when the matching dequeue event is
-        #: emitted so offline analysis can split eligibility wait from
-        #: queueing wait per element episode.
-        self._resident: Dict[Hashable, tuple] = {}
+        #: Residency bookkeeping for eligibility attribution on traced
+        #: runs: flow_id -> the wall-clock instant its element's
+        #: predicate became true, if known when it was enqueued (see
+        #: :meth:`_list_enqueue`).  Mirrors ordered-list membership;
+        #: popped when the matching dequeue event is emitted so offline
+        #: analysis can split eligibility wait from queueing wait per
+        #: element episode.
+        self._resident: Dict[Hashable, Optional[Time]] = {}
         #: Global scheduling state (virtual_time lives here).
         self.state: Dict[str, float] = {}
         #: Flows administratively paused by network feedback (Section 4.4).
@@ -423,25 +430,47 @@ class PieoScheduler:
             if element is None:
                 return []
             if not self._quiet:
-                self.tracer.dequeue(now, element.flow_id, element.rank,
-                                    send_time=element.send_time,
-                                    eligible_at=self._eligible_at(
-                                        element, now))
-                self._c_dequeues.inc()
-                self._g_depth.dec()
+                if self._traced:
+                    # When the predicate became true, clamped into the
+                    # residence interval (see _list_enqueue).
+                    ready = self._resident.pop(element.flow_id, None)
+                    self.tracer.dequeue(
+                        now, element.flow_id, element.rank,
+                        send_time=element.send_time,
+                        eligible_at=(ready if ready is None or ready <= now
+                                     else now))
+                if self._metered:
+                    self._c_dequeues.value += 1
+                    # Gauge.dec, inlined: a fall can only move the min.
+                    gauge = self._g_depth
+                    value = gauge.value = gauge.value - 1
+                    if gauge.min is None:
+                        gauge.min = gauge.max = value
+                    elif value < gauge.min:
+                        gauge.min = value
             if (blocked_subtrees is not None
                     and element.flow_id in blocked_subtrees):
                 # This child's subtree already proved unable to send at
                 # this instant; put the element back untouched and stop
                 # (only time or an arrival can unblock it).
                 self._physical.enqueue(element)
-                if not self._quiet:
-                    eligible = element.send_time <= eligibility_now
-                    self._resident[element.flow_id] = (now, eligible)
+                if self._traced:
+                    send_time = element.send_time
+                    eligible = send_time <= eligibility_now
+                    self._resident[element.flow_id] = (
+                        now if eligible
+                        else max(now, send_time) if self._wall else None)
                     self.tracer.enqueue(now, element.flow_id,
-                                        element.rank, element.send_time,
+                                        element.rank, send_time,
                                         requeue=True, eligible=eligible)
-                    self._g_depth.inc()
+                if self._metered:
+                    # Gauge.inc, inlined: a rise can only move the max.
+                    gauge = self._g_depth
+                    value = gauge.value = gauge.value + 1
+                    if gauge.max is None:
+                        gauge.min = gauge.max = value
+                    elif value > gauge.max:
+                        gauge.max = value
                 return []
             self.decisions += 1
             flow = self.flows.get(element.flow_id)
@@ -576,60 +605,62 @@ class PieoScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _eligibility_threshold(self, now: Time) -> Time:
-        """The value eligibility predicates are evaluated against right
-        now, in the algorithm's own time base."""
-        if self._virtual:
-            return self.state.get("virtual_time", 0.0)
-        return now
-
-    def _eligible_at(self, element: Element,
-                     now: Time) -> Optional[Time]:
-        """Wall-clock instant the departing element's predicate became
-        true, for latency attribution (queueing vs eligibility wait).
-
-        ``None`` when the transition is not observable in wall time:
-        the element entered ineligible under a *virtual* time base, so
-        only the enqueue→dequeue residence bounds the wait.
-        """
-        entry = self._resident.pop(element.flow_id, None)
-        if entry is None:
-            return None
-        enqueued_at, eligible_on_enqueue = entry
-        if eligible_on_enqueue:
-            return enqueued_at
-        if self.algorithm.time_base is TimeBase.WALL:
-            # send_time is a wall-clock instant: the predicate flipped
-            # exactly then (clamped into the residence interval).
-            return min(max(enqueued_at, element.send_time), now)
-        return None
-
     def _list_enqueue(self, flow: FlowQueue, rank: Rank,
                       send_time: Time, now: Time = 0.0) -> None:
+        """ordered_list.enqueue(f) with observability.
+
+        A traced scheduler notes when the element's predicate becomes
+        true, for the ``eligible_at`` of its dequeue event: now, if it
+        is eligible already; its send time, if that is a wall-clock
+        instant; otherwise nothing, since a predicate on virtual time
+        flips at no wall-clock instant the trace could name.
+        """
         group = self._group
         self._physical.enqueue(Element(
             flow.flow_id, rank, send_time,
             flow.group if group is None else group, flow))
         if self._quiet:
             return
-        eligible = send_time <= self._eligibility_threshold(now)
-        self._resident[flow.flow_id] = (now, eligible)
-        self.tracer.enqueue(now, flow.flow_id, rank, send_time,
-                            eligible=eligible)
-        self._c_enqueues.inc()
-        self._g_depth.inc()
+        if self._traced:
+            eligible = send_time <= (
+                self.state.get("virtual_time", 0.0) if self._virtual
+                else now)
+            self._resident[flow.flow_id] = (
+                now if eligible
+                else max(now, send_time) if self._wall else None)
+            self.tracer.enqueue(now, flow.flow_id, rank, send_time,
+                                eligible=eligible)
+        if self._metered:
+            self._c_enqueues.value += 1
+            # Gauge.inc, inlined: a rise can only move the max.
+            gauge = self._g_depth
+            value = gauge.value = gauge.value + 1
+            if gauge.max is None:
+                gauge.min = gauge.max = value
+            elif value > gauge.max:
+                gauge.max = value
 
     def _list_dequeue_flow(self, flow_id: Hashable,
                            now: Time = 0.0) -> Optional[Element]:
         """ordered_list.dequeue(f) with observability (alarm/pause/
-        asynchronous extracts)."""
+        asynchronous extracts); observed as :meth:`schedule` observes
+        its dequeues."""
         element = self.ordered_list.dequeue_flow(flow_id)
-        if element is not None and not self._quiet:
+        if element is None or self._quiet:
+            return element
+        if self._traced:
+            ready = self._resident.pop(element.flow_id, None)
             self.tracer.dequeue(now, element.flow_id, element.rank,
                                 op="dequeue_flow",
                                 send_time=element.send_time,
-                                eligible_at=self._eligible_at(
-                                    element, now))
-            self._c_dequeues.inc()
-            self._g_depth.dec()
+                                eligible_at=(ready if ready is None
+                                             or ready <= now else now))
+        if self._metered:
+            self._c_dequeues.value += 1
+            gauge = self._g_depth
+            value = gauge.value = gauge.value - 1
+            if gauge.min is None:
+                gauge.min = gauge.max = value
+            elif value < gauge.min:
+                gauge.min = value
         return element

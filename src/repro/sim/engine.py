@@ -13,7 +13,11 @@ request, the full retry-timer lifecycle (``timer_arm`` /
 ``link_idle`` at the end of each transmitted batch; a
 :class:`repro.obs.metrics.MetricsRegistry` additionally aggregates
 arrival/departure counters, backlog gauges, the ``schedule()``-batch-size
-histogram, and the wall-clock latency of each ``schedule()`` call.
+histogram, and the wall-clock latency of each ``schedule()`` call.  These
+per-packet updates write the instruments' attributes directly instead
+of calling ``inc``/``dec``/``observe``: a rise of a gauge can only move
+its ``max`` watermark and a fall its ``min``, and both are set together
+on a gauge's first update.
 
 Events: kicks and departure listeners are posted with
 :meth:`Simulator.post`, which allocates no handle; only the retry timer,
@@ -38,10 +42,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from bisect import bisect_left
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.obs.metrics import BATCH_BUCKETS, LATENCY_BUCKETS_US
-from repro.obs.scope import NULL_METRICS, NULL_TRACER
+from repro.obs.scope import NULL_COUNTER, NULL_METRICS, NULL_TRACER
 from repro.sim.events import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import Packet
@@ -98,10 +103,6 @@ class TransmitEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._traced = self.tracer is not NULL_TRACER
-        self._metered = self.metrics is not NULL_METRICS
-        # Drain only when nothing observes the event-level behaviour
-        # the drain condenses.
-        self.drain_enabled = not self._traced and not self._metered
         #: Per-flow departure callbacks (e.g. BackloggedSource refills).
         self.departure_listeners: Dict[Hashable,
                                        Callable[[], None]] = {}
@@ -120,6 +121,12 @@ class TransmitEngine:
                                                BATCH_BUCKETS)
         self._h_schedule_us = self.metrics.histogram(
             "engine.schedule_us", LATENCY_BUCKETS_US)
+        #: True when the registry hands out live instruments (any null
+        #: registry hands out the shared null ones).
+        self._metered = self._c_arrivals is not NULL_COUNTER
+        # Drain only when nothing observes the event-level behaviour
+        # the drain condenses.
+        self.drain_enabled = not self._traced and not self._metered
 
     # ------------------------------------------------------------------
     # Inputs
@@ -133,7 +140,7 @@ class TransmitEngine:
             self.tracer.arrival(now, flow_id, packet.size_bytes,
                                 packet.packet_id)
         if self._metered:
-            self._c_arrivals.inc()
+            self._c_arrivals.value += 1
         # Admission runs after the arrival trace/counter (so the
         # analyzer's conservation audit sees the packet arrive before
         # any drop event) but before the packet touches backlog gauges
@@ -142,8 +149,15 @@ class TransmitEngine:
         if admission is not None and not admission(flow_id, packet, now):
             return
         if self._metered:
-            self._g_backlog_pkts.inc()
-            self._g_backlog_bytes.inc(packet.size_bytes)
+            # Gauge.inc, inlined (see the module docstring).
+            for gauge, amount in ((self._g_backlog_pkts, 1),
+                                  (self._g_backlog_bytes,
+                                   packet.size_bytes)):
+                value = gauge.value = gauge.value + amount
+                if gauge.max is None:
+                    gauge.min = gauge.max = value
+                elif value > gauge.max:
+                    gauge.max = value
         self.scheduler.on_arrival(flow_id, packet, now)
         if not self._kick_pending:
             self.kick()
@@ -164,7 +178,7 @@ class TransmitEngine:
         if self._traced:
             self.tracer.kick(sim.now, at=at)
         if self._metered:
-            self._c_kicks.inc()
+            self._c_kicks.value += 1
         sim.post(at, self._try_transmit)
 
     # ------------------------------------------------------------------
@@ -187,9 +201,21 @@ class TransmitEngine:
         if self._metered:
             start = time.perf_counter()
             packets = self.scheduler.schedule(now)
-            self._h_schedule_us.observe(
-                (time.perf_counter() - start) * 1e6)
-            self._h_batch.observe(len(packets))
+            elapsed_us = (time.perf_counter() - start) * 1e6
+            # Histogram.observe, inlined, for the wall time and the
+            # batch size of this schedule() call.
+            for histogram, value in ((self._h_schedule_us, elapsed_us),
+                                     (self._h_batch, len(packets))):
+                histogram.counts[bisect_left(histogram.buckets,
+                                             value)] += 1
+                histogram.count += 1
+                histogram.sum += value
+                if histogram.min is None:
+                    histogram.min = histogram.max = value
+                elif value < histogram.min:
+                    histogram.min = value
+                elif value > histogram.max:
+                    histogram.max = value
         else:
             packets = self.scheduler.schedule(now)
         if packets:
@@ -284,9 +310,16 @@ class TransmitEngine:
                                       finish=finish,
                                       arrival_t=packet.arrival_time)
             if metered:
-                self._c_departures.inc()
-                self._g_backlog_pkts.dec()
-                self._g_backlog_bytes.dec(packet.size_bytes)
+                self._c_departures.value += 1
+                # Gauge.dec, inlined (see the module docstring).
+                for gauge, amount in ((self._g_backlog_pkts, 1),
+                                      (self._g_backlog_bytes,
+                                       packet.size_bytes)):
+                    value = gauge.value = gauge.value - amount
+                    if gauge.min is None:
+                        gauge.min = gauge.max = value
+                    elif value < gauge.min:
+                        gauge.min = value
             listener = listeners.get(packet.flow_id)
             if listener is not None:
                 sim_post(finish, listener)
@@ -321,7 +354,7 @@ class TransmitEngine:
             self.tracer.timer_arm(now, self._retry_timer_id,
                                   deadline=wake_at, scope="engine.retry")
         if self._metered:
-            self._c_retry_arms.inc()
+            self._c_retry_arms.value += 1
         self._retry_handle = self.sim.schedule(wake_at, self._on_retry)
 
     def _on_retry(self) -> None:

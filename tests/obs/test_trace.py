@@ -46,6 +46,9 @@ def test_field_named_t_rejected():
         tracer.mark(0.0, "x", t=5)
     with pytest.raises(ValueError, match="'t' is reserved"):
         tracer.emit(0.0, "kick", t=5)
+    # An extra field cannot overwrite the kind either.
+    with pytest.raises(ValueError, match="'kind' is reserved"):
+        tracer.mark(0.0, "x", kind="kick")
     assert tracer.emitted == 0 and not tracer.counts
 
 
@@ -88,6 +91,22 @@ def test_zero_capacity_retains_nothing_but_counts():
     tracer.kick(0.0)
     assert len(tracer.events) == 0
     assert tracer.emitted == 1
+    # Nothing was evicted from a ring: there is none.
+    assert tracer.dropped == 0
+
+
+@pytest.mark.parametrize("method", ["timer_arm", "timer_fire",
+                                    "timer_cancel"])
+@pytest.mark.parametrize("view", ["tracer", "labelled", "null"])
+def test_timer_events_need_a_scope(method, view):
+    """No timer scope is implied: a caller names the timer it traces."""
+    tracer = {"tracer": Tracer(),
+              "labelled": LabelledTracer(Tracer(), port="p0"),
+              "null": NULL_TRACER}[view]
+    args = (0.1, 1, 0.2) if method == "timer_arm" else (0.1, 1)
+    with pytest.raises(TypeError, match="scope"):
+        getattr(tracer, method)(*args)
+    assert not tracer.counts
 
 
 def test_events_of_filters_by_kind():
