@@ -62,6 +62,12 @@ class Gauge:
     The watermarks cover every value the gauge has taken since creation
     (or the last :meth:`reset`), so "queue depth never went negative" is
     checkable from a snapshot alone.
+
+    Invariant: ``min`` and ``max`` are both ``None`` (no update yet) or
+    both set, and then ``min <= value <= max``.  The hot paths that
+    update a gauge by writing its attributes (the transmit engine's
+    backlog gauges, the scheduler's queue depth) rely on it: after a
+    rise only ``max`` can move, after a fall only ``min``.
     """
 
     __slots__ = ("value", "min", "max")
@@ -78,8 +84,9 @@ class Gauge:
         if self.max is None or value > self.max:
             self.max = value
 
-    # inc/dec repeat set's watermark update rather than call it: they run
-    # on every enqueue and dequeue of a metered run.
+    # inc/dec repeat set's watermark update rather than call it, so each
+    # is one Python call (the buffer's occupancy and the scheduler's
+    # rarer requeue and dequeue_flow paths call them).
     def inc(self, amount: float = 1) -> None:
         value = self.value = self.value + amount
         if self.min is None or value < self.min:
@@ -95,6 +102,7 @@ class Gauge:
             self.max = value
 
     def reset(self) -> None:
+        # Back to the no-update state of the invariant above.
         self.value = 0.0
         self.min = None
         self.max = None
@@ -105,7 +113,9 @@ class Histogram:
 
     ``buckets`` are inclusive upper bounds; one implicit overflow bucket
     catches everything above the last bound.  Mean/min/max are tracked
-    exactly regardless of bucketing.
+    exactly regardless of bucketing; ``min`` and ``max`` keep the
+    :class:`Gauge` invariant (both ``None`` or both set), which the
+    transmit engine's inlined ``observe`` relies on.
     """
 
     __slots__ = ("buckets", "counts", "count", "sum", "min", "max")

@@ -420,8 +420,8 @@ class Tracer(_TypedEmitters):
         """Re-emit serialized trace lines (e.g. from a sharded sweep
         worker) into this tracer, preserving order; returns the count.
 
-        Each line is parsed and re-emitted through :meth:`emit`, so
-        retention, per-kind counts, and the sink observe absorbed events
+        Each parsed line is handed to the line builder :meth:`_record`,
+        so retention, per-kind counts, and the sink observe absorbed events
         exactly as if they had been emitted locally.  Serialization
         round-trips byte-exactly: float formatting is shortest-repr
         stable, and the non-finite string encodings of

@@ -431,8 +431,7 @@ class PieoScheduler:
                 return []
             if not self._quiet:
                 if self._traced:
-                    # When the predicate became true, clamped into the
-                    # residence interval (see _list_enqueue).
+                    # _eligible_at, inlined on the hot dequeue.
                     ready = self._resident.pop(element.flow_id, None)
                     self.tracer.dequeue(
                         now, element.flow_id, element.rank,
@@ -441,7 +440,7 @@ class PieoScheduler:
                                      else now))
                 if self._metered:
                     self._c_dequeues.value += 1
-                    # Gauge.dec, inlined: a fall can only move the min.
+                    # Gauge.dec, inlined (see the Gauge invariant).
                     gauge = self._g_depth
                     value = gauge.value = gauge.value - 1
                     if gauge.min is None:
@@ -455,22 +454,14 @@ class PieoScheduler:
                 # (only time or an arrival can unblock it).
                 self._physical.enqueue(element)
                 if self._traced:
-                    send_time = element.send_time
-                    eligible = send_time <= eligibility_now
-                    self._resident[element.flow_id] = (
-                        now if eligible
-                        else max(now, send_time) if self._wall else None)
+                    eligible = element.send_time <= eligibility_now
+                    self._note_resident(element.flow_id, element.send_time,
+                                        eligible, now)
                     self.tracer.enqueue(now, element.flow_id,
-                                        element.rank, send_time,
+                                        element.rank, element.send_time,
                                         requeue=True, eligible=eligible)
                 if self._metered:
-                    # Gauge.inc, inlined: a rise can only move the max.
-                    gauge = self._g_depth
-                    value = gauge.value = gauge.value + 1
-                    if gauge.max is None:
-                        gauge.min = gauge.max = value
-                    elif value > gauge.max:
-                        gauge.max = value
+                    self._g_depth.inc()
                 return []
             self.decisions += 1
             flow = self.flows.get(element.flow_id)
@@ -625,6 +616,7 @@ class PieoScheduler:
             eligible = send_time <= (
                 self.state.get("virtual_time", 0.0) if self._virtual
                 else now)
+            # _note_resident, inlined on the hot enqueue.
             self._resident[flow.flow_id] = (
                 now if eligible
                 else max(now, send_time) if self._wall else None)
@@ -632,7 +624,7 @@ class PieoScheduler:
                                 eligible=eligible)
         if self._metered:
             self._c_enqueues.value += 1
-            # Gauge.inc, inlined: a rise can only move the max.
+            # Gauge.inc, inlined (see the Gauge invariant).
             gauge = self._g_depth
             value = gauge.value = gauge.value + 1
             if gauge.max is None:
@@ -649,18 +641,28 @@ class PieoScheduler:
         if element is None or self._quiet:
             return element
         if self._traced:
-            ready = self._resident.pop(element.flow_id, None)
             self.tracer.dequeue(now, element.flow_id, element.rank,
                                 op="dequeue_flow",
                                 send_time=element.send_time,
-                                eligible_at=(ready if ready is None
-                                             or ready <= now else now))
+                                eligible_at=self._eligible_at(
+                                    element.flow_id, now))
         if self._metered:
-            self._c_dequeues.value += 1
-            gauge = self._g_depth
-            value = gauge.value = gauge.value - 1
-            if gauge.min is None:
-                gauge.min = gauge.max = value
-            elif value < gauge.min:
-                gauge.min = value
+            self._c_dequeues.inc()
+            self._g_depth.dec()
         return element
+
+    def _note_resident(self, flow_id: Hashable, send_time: Time,
+                       eligible: bool, now: Time) -> None:
+        """Note when an element enqueued now has its predicate become
+        true (see :meth:`_list_enqueue`)."""
+        self._resident[flow_id] = (
+            now if eligible
+            else max(now, send_time) if self._wall else None)
+
+    def _eligible_at(self, flow_id: Hashable,
+                     now: Time) -> Optional[Time]:
+        """Wall-clock instant the departing element's predicate became
+        true, clamped into its residence interval; ``None`` when no
+        wall-clock instant is known."""
+        ready = self._resident.pop(flow_id, None)
+        return ready if ready is None or ready <= now else now

@@ -31,7 +31,7 @@ import random
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.scope import NULL_COUNTER, NULL_METRICS, NULL_TRACER
+from repro.obs.scope import NULL_METRICS, NULL_TRACER
 from repro.sim.flow import FlowQueue
 from repro.sim.packet import Packet
 
@@ -290,6 +290,7 @@ class BufferManager:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._traced = self.tracer is not NULL_TRACER
+        self._metered = self.metrics is not NULL_METRICS
         # Occupancy.
         self.total_bytes = 0
         self.total_pkts = 0
@@ -309,12 +310,12 @@ class BufferManager:
         # The dataplane's clock (set via attach_clock) so eviction drop
         # events are stamped with sim time.
         self._now: Callable[[], float] = lambda: 0.0
-        self._c_admitted = self.metrics.counter("buffer.admitted")
-        self._c_dropped = self.metrics.counter("buffer.dropped")
-        self._c_evicted = self.metrics.counter("buffer.evicted")
-        self._g_bytes = self.metrics.gauge("buffer.occupancy_bytes")
-        self._g_pkts = self.metrics.gauge("buffer.occupancy_pkts")
-        self._metered = self._c_admitted is not NULL_COUNTER
+        if self._metered:
+            self._c_admitted = self.metrics.counter("buffer.admitted")
+            self._c_dropped = self.metrics.counter("buffer.dropped")
+            self._c_evicted = self.metrics.counter("buffer.evicted")
+            self._g_bytes = self.metrics.gauge("buffer.occupancy_bytes")
+            self._g_pkts = self.metrics.gauge("buffer.occupancy_pkts")
 
     # -- wiring --------------------------------------------------------
     def attach_port(self, port_id: Hashable,
@@ -415,16 +416,9 @@ class BufferManager:
         flow_pkts[key] = flow_pkts.get(key, 0) + 1
         self.admitted += 1
         if self._metered:
-            self._c_admitted.value += 1
-            for gauge, value in ((self._g_bytes, self.total_bytes),
-                                 (self._g_pkts, self.total_pkts)):
-                gauge.value = value
-                if gauge.min is None:
-                    gauge.min = gauge.max = value
-                elif value < gauge.min:
-                    gauge.min = value
-                elif value > gauge.max:
-                    gauge.max = value
+            self._c_admitted.inc()
+            self._g_bytes.set(self.total_bytes)
+            self._g_pkts.set(self.total_pkts)
         return True
 
     def release(self, port_id: Hashable, flow_id: Hashable,
@@ -450,15 +444,8 @@ class BufferManager:
             # Emptied: drop the entry so victim scans never walk it.
             del flow_bytes[key], flow_pkts[key]
         if self._metered:
-            for gauge, value in ((self._g_bytes, total_bytes),
-                                 (self._g_pkts, total_pkts)):
-                gauge.value = value
-                if gauge.min is None:
-                    gauge.min = gauge.max = value
-                elif value < gauge.min:
-                    gauge.min = value
-                elif value > gauge.max:
-                    gauge.max = value
+            self._g_bytes.set(self.total_bytes)
+            self._g_pkts.set(self.total_pkts)
 
     # -- drop bookkeeping ----------------------------------------------
     def _note_drop(self, port_id: Hashable, flow_id: Hashable,
@@ -470,7 +457,7 @@ class BufferManager:
         self.drops_by_reason[reason] = \
             self.drops_by_reason.get(reason, 0) + 1
         if self._metered:
-            self._c_dropped.value += 1
+            self._c_dropped.inc()
         if self._traced:
             self.tracer.drop(now, flow_id, reason=reason,
                              packet_id=packet.packet_id,
@@ -484,7 +471,7 @@ class BufferManager:
         self.release(port_id, flow_id, packet.size_bytes)
         self.evicted += 1
         if self._metered:
-            self._c_evicted.value += 1
+            self._c_evicted.inc()
         self._note_drop(port_id, flow_id, packet, reason, self._now())
 
     # -- victim selection (push-out policies) --------------------------

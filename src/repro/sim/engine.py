@@ -15,9 +15,9 @@ request, the full retry-timer lifecycle (``timer_arm`` /
 arrival/departure counters, backlog gauges, the ``schedule()``-batch-size
 histogram, and the wall-clock latency of each ``schedule()`` call.  These
 per-packet updates write the instruments' attributes directly instead
-of calling ``inc``/``dec``/``observe``: a rise of a gauge can only move
-its ``max`` watermark and a fall its ``min``, and both are set together
-on a gauge's first update.
+of calling ``inc``/``dec``/``observe``, which holds by the invariant
+stated on :class:`repro.obs.metrics.Gauge`: a rise of a gauge can only
+move its ``max`` watermark and a fall its ``min``.
 
 Events: kicks and departure listeners are posted with
 :meth:`Simulator.post`, which allocates no handle; only the retry timer,
@@ -149,7 +149,7 @@ class TransmitEngine:
         if admission is not None and not admission(flow_id, packet, now):
             return
         if self._metered:
-            # Gauge.inc, inlined (see the module docstring).
+            # Gauge.inc, inlined (see the Gauge invariant).
             for gauge, amount in ((self._g_backlog_pkts, 1),
                                   (self._g_backlog_bytes,
                                    packet.size_bytes)):
@@ -311,7 +311,7 @@ class TransmitEngine:
                                       arrival_t=packet.arrival_time)
             if metered:
                 self._c_departures.value += 1
-                # Gauge.dec, inlined (see the module docstring).
+                # Gauge.dec, inlined (see the Gauge invariant).
                 for gauge, amount in ((self._g_backlog_pkts, 1),
                                       (self._g_backlog_bytes,
                                        packet.size_bytes)):

@@ -193,3 +193,28 @@ def test_rcsp_end_to_end_shaping():
     expected = MTU_BYTES * 8 / gbps(1)
     assert all(gap == pytest.approx(expected, rel=0.01)
                for gap in gaps[1:])
+
+
+@pytest.mark.parametrize("pause_at, eligible_at", [(1.0, 1.0), (2.0, 1.4)])
+def test_paused_flow_dequeue_names_when_it_became_eligible(pause_at,
+                                                           eligible_at):
+    """A flow pulled out by pause_flow gets the same eligible_at as a
+    scheduled dequeue: its wall-clock send time, clamped to the pause."""
+    from repro.obs import MetricsRegistry, Tracer
+
+    tracer = Tracer()
+    metrics = MetricsRegistry()
+    scheduler = PieoScheduler(TokenBucket(), link_rate_bps=gbps(10),
+                              tracer=tracer, metrics=metrics)
+    flow = FlowQueue("f", rate_bps=8_000)
+    flow.state["burst_bytes"] = 100
+    scheduler.add_flow(flow)
+    # 100 tokens at 1000 B/s: a 1500 B head may leave at t = 1.4.
+    scheduler.on_arrival("f", Packet("f", size_bytes=1500), now=0.0)
+    scheduler.pause_flow("f", now=pause_at)
+    (dequeue,) = tracer.events_of("dequeue")
+    assert dequeue.time == pause_at
+    assert dequeue.fields["op"] == "dequeue_flow"
+    assert dequeue.fields["eligible_at"] == pytest.approx(eligible_at)
+    depth = metrics.to_dict()["gauges"]["sched.queue_depth"]
+    assert (depth["value"], depth["min"], depth["max"]) == (0, 0, 1)
