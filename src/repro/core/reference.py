@@ -155,6 +155,15 @@ class ReferencePieo(PieoList):
             self._group_keys[group].pop(position)
             del self._resident[element.flow_id]
             return element
+        if group_range is None:
+            # _first_eligible and _pop, inlined on the flat hot path.
+            items = self._items
+            for position, element in enumerate(items):
+                if element.send_time <= now:
+                    del items[position], self._keys[position]
+                    del self._resident[element.flow_id]
+                    return element
+            return None
         position = self._first_eligible(now, group_range)
         if position is None:
             return None

@@ -105,15 +105,17 @@ class ControlPlane:
             return
         # Live update via the Section 4.4 path: extract, mutate,
         # re-enqueue through the Pre-Enqueue function.
-        self.scheduler.ordered_list.dequeue_flow(flow.flow_id)
+        self.scheduler._list_dequeue_flow(flow.flow_id, now=now)
         apply(flow)
-        ctx = SchedulerContext(self.scheduler, now, reason="alarm")
         if self.scheduler.trigger is TriggerModel.INPUT:
             # Input-triggered schedulers stamped the attributes on the
             # packet at arrival; the new configuration only affects
             # packets arriving from now on (the precision loss
             # Section 3.2.1 attributes to this model).
             head = flow.head
-            self.scheduler._list_enqueue(flow, head.rank, head.send_time)
+            self.scheduler._list_enqueue(flow, head.rank, head.send_time,
+                                         now=now)
         else:
-            self.scheduler.algorithm.pre_enqueue(ctx, flow)
+            self.scheduler.algorithm.pre_enqueue(
+                SchedulerContext(self.scheduler, now, reason="alarm"),
+                flow)

@@ -327,9 +327,10 @@ class PieoScheduler:
         #: use, so algorithms that never ask for it never maintain it.
         self._start_heap: Optional[List[tuple]] = None
         self._start_seq = itertools.count()
-        #: Reused "requeue"/"dequeue"/"peek" contexts (see
-        #: :meth:`SchedulerContext.reenqueue`, :meth:`schedule` and
-        #: :meth:`peek_flow`).
+        #: Reused "arrival"/"requeue"/"dequeue"/"peek" contexts (see
+        #: :meth:`on_arrival`, :meth:`SchedulerContext.reenqueue`,
+        #: :meth:`schedule` and :meth:`peek_flow`).
+        self._arrival_ctx = SchedulerContext(self, 0.0, reason="arrival")
         self._requeue_ctx = SchedulerContext(self, 0.0, reason="requeue")
         self._schedule_ctx = SchedulerContext(self, 0.0, reason="dequeue")
         self._peek_ctx = SchedulerContext(self, 0.0, reason="peek")
@@ -358,9 +359,12 @@ class PieoScheduler:
                    now: Time) -> bool:
         """A packet arrived; returns True if the flow just became
         schedulable (useful as a transmit-engine kick hint)."""
-        flow = self.get_flow(flow_id)
+        flow = self.flows.get(flow_id)
+        if flow is None:
+            raise UnknownFlowError(f"unknown flow {flow_id!r}")
         if self.trigger is TriggerModel.INPUT:
-            ctx = SchedulerContext(self, now, reason="arrival")
+            ctx = self._arrival_ctx
+            ctx.now = now
             rank, send_time = self.algorithm.packet_attributes(
                 ctx, flow, packet)
             packet.rank = rank
@@ -377,13 +381,15 @@ class PieoScheduler:
             return True
         # Output-triggered: Pre-Enqueue fires on enqueue into an *empty*
         # flow queue (and on dequeue from a flow queue, handled in
-        # SchedulerContext.reenqueue).  The context is built only when
-        # the function will run — most arrivals land on already-
-        # backlogged flows.
+        # SchedulerContext.reenqueue).  The arrival context is
+        # refreshed only when the function will run — most arrivals
+        # land on already-backlogged flows.  Pre-Enqueue transmits
+        # nothing, so its sent list stays empty.
         if not flow.push(packet):
             return False
         if not self.blocked.get(flow_id):
-            ctx = SchedulerContext(self, now, reason="arrival")
+            ctx = self._arrival_ctx
+            ctx.now = now
             self.algorithm.pre_enqueue(ctx, flow)
             return True
         # A paused flow became backlogged without Pre-Enqueue; it still
@@ -597,7 +603,7 @@ class PieoScheduler:
     # Internals
     # ------------------------------------------------------------------
     def _list_enqueue(self, flow: FlowQueue, rank: Rank,
-                      send_time: Time, now: Time = 0.0) -> None:
+                      send_time: Time, now: Time) -> None:
         """ordered_list.enqueue(f) with observability.
 
         A traced scheduler notes when the element's predicate becomes
@@ -633,7 +639,7 @@ class PieoScheduler:
                 gauge.max = value
 
     def _list_dequeue_flow(self, flow_id: Hashable,
-                           now: Time = 0.0) -> Optional[Element]:
+                           now: Time) -> Optional[Element]:
         """ordered_list.dequeue(f) with observability (alarm/pause/
         asynchronous extracts); observed as :meth:`schedule` observes
         its dequeues."""

@@ -27,6 +27,7 @@ the admission stage exactly like any other.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
@@ -110,8 +111,10 @@ class LongestQueueDrop(DropPolicy):
         # no per-port limit set it can never hold.
         carved = (buffer.per_port_pkts is not None
                   or buffer.per_port_bytes is not None)
+        # ``reason`` already proves the arrival does not fit, so each
+        # turn evicts first and then checks once.
         evicted = False
-        while not buffer.would_fit(port_id, flow_id, packet):
+        while True:
             only_port = (port_id if port_reason or (
                 carved and buffer.port_overflows(port_id, packet))
                 else None)
@@ -124,7 +127,8 @@ class LongestQueueDrop(DropPolicy):
             buffer.note_eviction(victim_port, victim_flow, dropped,
                                  reason="evicted:longest-queue")
             evicted = True
-        return evicted
+            if buffer._violated(port_id, flow_id, packet) is None:
+                return True
 
 
 class RedDrop(DropPolicy):
@@ -239,6 +243,24 @@ register_drop_policy(
 # ----------------------------------------------------------------------
 # BufferManager
 # ----------------------------------------------------------------------
+class _PortRecord:
+    """One port's occupancy: ``bytes`` and ``pkts``, and ``flows``
+    mapping each resident flow to a ``[bytes, packets, seq]`` entry
+    updated in place (``seq`` numbers entries in creation order, the
+    victim tie-break's last resort).  It has no ``__init__``, so making
+    one costs no Python frame; whoever makes one sets all three
+    fields."""
+
+    __slots__ = ("bytes", "pkts", "flows")
+
+
+#: What the capacity checks read for a port or flow holding nothing.
+_NO_PORT = _PortRecord()
+_NO_PORT.bytes = _NO_PORT.pkts = 0
+_NO_PORT.flows = {}
+_NO_FLOW = (0, 0)
+
+
 class BufferManager:
     """Shared packet-memory accounting for a multi-port dataplane.
 
@@ -258,6 +280,11 @@ class BufferManager:
     ``policy`` is a :class:`DropPolicy`, a registered name, or None for
     tail-drop.  The limits are plain attributes, read on every
     admission: changing one takes effect at the next arrival.
+
+    Occupancy lives in one :class:`_PortRecord` per port, made at its
+    first admission.  ``port_bytes``, ``port_pkts``, ``flow_bytes`` and
+    ``flow_pkts`` are read-only snapshots built from the records; the
+    packet path never builds them.
     """
 
     def __init__(self, capacity_bytes: Optional[int] = None,
@@ -294,10 +321,8 @@ class BufferManager:
         # Occupancy.
         self.total_bytes = 0
         self.total_pkts = 0
-        self.port_bytes: Dict[Hashable, int] = {}
-        self.port_pkts: Dict[Hashable, int] = {}
-        self.flow_bytes: Dict[Tuple[Hashable, Hashable], int] = {}
-        self.flow_pkts: Dict[Tuple[Hashable, Hashable], int] = {}
+        self._ports: Dict[Hashable, _PortRecord] = {}
+        self._flow_seq = itertools.count()
         # Totals.
         self.admitted = 0
         self.dropped = 0
@@ -327,6 +352,37 @@ class BufferManager:
         """Give the buffer a sim-time source for eviction events."""
         self._now = now
 
+    # -- occupancy snapshots -------------------------------------------
+    @property
+    def port_bytes(self) -> Dict[Hashable, int]:
+        """Bytes held per port (a snapshot)."""
+        return {port_id: record.bytes
+                for port_id, record in self._ports.items()}
+
+    @property
+    def port_pkts(self) -> Dict[Hashable, int]:
+        """Packets held per port (a snapshot)."""
+        return {port_id: record.pkts
+                for port_id, record in self._ports.items()}
+
+    @property
+    def flow_bytes(self) -> Dict[Tuple[Hashable, Hashable], int]:
+        """Bytes held per ``(port, flow)`` (a snapshot)."""
+        return {key: entry[0] for key, entry in self._flow_entries()}
+
+    @property
+    def flow_pkts(self) -> Dict[Tuple[Hashable, Hashable], int]:
+        """Packets held per ``(port, flow)`` (a snapshot)."""
+        return {key: entry[1] for key, entry in self._flow_entries()}
+
+    def _flow_entries(self):
+        """``((port, flow), entry)`` pairs in entry-creation order."""
+        pairs = [((port_id, flow_id), entry)
+                 for port_id, record in self._ports.items()
+                 for flow_id, entry in record.flows.items()]
+        pairs.sort(key=lambda pair: pair[1][2])
+        return pairs
+
     # -- capacity checks -----------------------------------------------
     def _violated(self, port_id: Hashable, flow_id: Hashable,
                   packet: Packet) -> Optional[str]:
@@ -338,32 +394,34 @@ class BufferManager:
         if self.capacity_bytes is not None \
                 and self.total_bytes + size > self.capacity_bytes:
             return "buffer:bytes"
+        if (self.per_port_pkts is None and self.per_port_bytes is None
+                and self.per_flow_pkts is None
+                and self.per_flow_bytes is None):
+            return None
+        record = self._ports.get(port_id, _NO_PORT)
         if self.per_port_pkts is not None \
-                and self.port_pkts.get(port_id, 0) + 1 \
-                > self.per_port_pkts:
+                and record.pkts + 1 > self.per_port_pkts:
             return "port:pkts"
         if self.per_port_bytes is not None \
-                and self.port_bytes.get(port_id, 0) + size \
-                > self.per_port_bytes:
+                and record.bytes + size > self.per_port_bytes:
             return "port:bytes"
-        key = (port_id, flow_id)
+        entry = record.flows.get(flow_id, _NO_FLOW)
         if self.per_flow_pkts is not None \
-                and self.flow_pkts.get(key, 0) + 1 > self.per_flow_pkts:
+                and entry[1] + 1 > self.per_flow_pkts:
             return "flow:pkts"
         if self.per_flow_bytes is not None \
-                and self.flow_bytes.get(key, 0) + size \
-                > self.per_flow_bytes:
+                and entry[0] + size > self.per_flow_bytes:
             return "flow:bytes"
         return None
 
     def port_overflows(self, port_id: Hashable, packet: Packet) -> bool:
         """True when ``packet`` would exceed ``port_id``'s carve-out."""
+        record = self._ports.get(port_id, _NO_PORT)
         return ((self.per_port_pkts is not None
-                 and self.port_pkts.get(port_id, 0) + 1
-                 > self.per_port_pkts)
+                 and record.pkts + 1 > self.per_port_pkts)
                 or (self.per_port_bytes is not None
-                    and self.port_bytes.get(port_id, 0)
-                    + packet.size_bytes > self.per_port_bytes))
+                    and record.bytes + packet.size_bytes
+                    > self.per_port_bytes))
 
     def would_fit(self, port_id: Hashable, flow_id: Hashable,
                   packet: Packet) -> bool:
@@ -405,15 +463,19 @@ class BufferManager:
             return False
         self.total_bytes += size
         self.total_pkts += 1
-        port_bytes = self.port_bytes
-        port_bytes[port_id] = port_bytes.get(port_id, 0) + size
-        port_pkts = self.port_pkts
-        port_pkts[port_id] = port_pkts.get(port_id, 0) + 1
-        key = (port_id, flow_id)
-        flow_bytes = self.flow_bytes
-        flow_bytes[key] = flow_bytes.get(key, 0) + size
-        flow_pkts = self.flow_pkts
-        flow_pkts[key] = flow_pkts.get(key, 0) + 1
+        record = self._ports.get(port_id)
+        if record is None:
+            record = self._ports[port_id] = _PortRecord()
+            record.bytes = record.pkts = 0
+            record.flows = {}
+        record.bytes += size
+        record.pkts += 1
+        entry = record.flows.get(flow_id)
+        if entry is None:
+            record.flows[flow_id] = [size, 1, next(self._flow_seq)]
+        else:
+            entry[0] += size
+            entry[1] += 1
         self.admitted += 1
         if self._metered:
             self._c_admitted.inc()
@@ -423,26 +485,27 @@ class BufferManager:
 
     def release(self, port_id: Hashable, flow_id: Hashable,
                 size_bytes: int) -> None:
-        """Credit occupancy back (a packet left the buffer)."""
-        total_bytes = self.total_bytes = self.total_bytes - size_bytes
-        total_pkts = self.total_pkts = self.total_pkts - 1
-        port_bytes = self.port_bytes
-        port_bytes[port_id] = port_bytes.get(port_id, 0) - size_bytes
-        port_pkts = self.port_pkts
-        port_left = port_pkts[port_id] = port_pkts.get(port_id, 0) - 1
-        key = (port_id, flow_id)
-        flow_bytes = self.flow_bytes
-        flow_bytes[key] = flow_bytes.get(key, 0) - size_bytes
-        flow_pkts = self.flow_pkts
-        flow_left = flow_pkts[key] = flow_pkts.get(key, 0) - 1
-        if total_bytes < 0 or total_pkts < 0 or port_left < 0 \
-                or flow_left < 0:
+        """Credit occupancy back (a packet left the buffer).
+
+        Releasing more than ``(port_id, flow_id)`` holds raises
+        ``ValueError`` and changes nothing.
+        """
+        record = self._ports.get(port_id)
+        entry = None if record is None else record.flows.get(flow_id)
+        if entry is None or entry[0] < size_bytes:
             raise ValueError(
                 f"buffer release underflow for port={port_id!r} "
                 f"flow={flow_id!r}: released more than admitted")
-        if not flow_left:
+        self.total_bytes -= size_bytes
+        self.total_pkts -= 1
+        record.bytes -= size_bytes
+        record.pkts -= 1
+        if entry[1] == 1:
             # Emptied: drop the entry so victim scans never walk it.
-            del flow_bytes[key], flow_pkts[key]
+            del record.flows[flow_id]
+        else:
+            entry[0] -= size_bytes
+            entry[1] -= 1
         if self._metered:
             self._g_bytes.set(self.total_bytes)
             self._g_pkts.set(self.total_pkts)
@@ -479,38 +542,50 @@ class BufferManager:
                       only_port: Optional[Hashable] = None):
         """The (port_id, flow_id, queue) holding the most buffered
         bytes among queues at least ``min_depth`` (>= 1) deep, on
-        ``only_port`` when one is given; None if no queue
-        qualifies.  Ties break deterministically on the stringified
-        (port, flow) key.
+        ``only_port`` when one is given; None if no queue qualifies.
+        Ties break on the smallest ``(str(port), str(flow))``, and
+        between keys whose strings also match (port ``1`` and ``"1"``)
+        on the entry created first.
 
         Every queued packet was admitted, so a queue is never deeper
         than the buffer's own packet count for it: entries shallower
-        than ``min_depth`` are skipped unresolved, and a queue is
-        resolved only when its key would beat the best so far.
+        than ``min_depth`` are skipped unresolved, the string key is
+        built only on a byte tie, and a queue is resolved only when its
+        entry would beat the best so far.
         """
-        best = None
-        best_key = None
-        flow_pkts = self.flow_pkts
+        ports = self._ports
+        if only_port is None:
+            records = ports.items()
+        elif only_port in ports:
+            records = ((only_port, ports[only_port]),)
+        else:
+            return None
         resolvers = self._resolvers
-        entries = self.flow_bytes.items()
-        if only_port is not None:
-            entries = [(key, occupied) for key, occupied in entries
-                       if key[0] == only_port]
-        for key, occupied in entries:
-            if flow_pkts[key] < min_depth:
-                continue
-            port_id, flow_id = key
-            sort_key = (-occupied, str(port_id), str(flow_id))
-            if best_key is not None and sort_key >= best_key:
-                continue
+        best = best_entry = best_key = None
+        for port_id, record in records:
             resolver = resolvers.get(port_id)
             if resolver is None:
                 continue
-            queue = resolver(flow_id)
-            if queue is None or len(queue) < min_depth:
-                continue
-            best_key = sort_key
-            best = (port_id, flow_id, queue)
+            for flow_id, entry in record.flows.items():
+                if entry[1] < min_depth:
+                    continue
+                key = None
+                if best is not None:
+                    if entry[0] < best_entry[0]:
+                        continue
+                    if entry[0] == best_entry[0]:
+                        if best_key is None:
+                            best_key = (str(best[0]), str(best[1]),
+                                        best_entry[2])
+                        key = (str(port_id), str(flow_id), entry[2])
+                        if key >= best_key:
+                            continue
+                queue = resolver(flow_id)
+                if queue is None or len(queue) < min_depth:
+                    continue
+                best = (port_id, flow_id, queue)
+                best_entry = entry
+                best_key = key
         return best
 
     # -- reporting ------------------------------------------------------
@@ -519,8 +594,8 @@ class BufferManager:
         return {
             "total_bytes": self.total_bytes,
             "total_pkts": self.total_pkts,
-            "port_bytes": dict(self.port_bytes),
-            "port_pkts": dict(self.port_pkts),
+            "port_bytes": self.port_bytes,
+            "port_pkts": self.port_pkts,
             "admitted": self.admitted,
             "dropped": self.dropped,
             "dropped_bytes": self.dropped_bytes,

@@ -41,6 +41,9 @@ class PacketGenerator:
         self.size_bytes = size_bytes
         self.end_time = end_time
         self.packets_generated = 0
+        #: A constant interarrival gap, set by generators that have one
+        #: so :meth:`_fire` skips the :meth:`next_interarrival` call.
+        self.gap: Optional[float] = None
 
     def start(self, at: Optional[float] = None) -> None:
         self.sim.post(self.sim.now if at is None else at, self._fire)
@@ -55,7 +58,9 @@ class PacketGenerator:
         packet = Packet(flow_id, self.size_bytes, now)
         self.packets_generated += 1
         self.sink(flow_id, packet)
-        delay = self.next_interarrival()
+        delay = self.gap
+        if delay is None:
+            delay = self.next_interarrival()
         if delay is not None:
             sim.post(sim.now + delay, self._fire)
 
@@ -73,6 +78,7 @@ class CbrGenerator(PacketGenerator):
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
         self.rate_bps = rate_bps
+        self.gap = self.next_interarrival()
 
     def next_interarrival(self) -> float:
         return self.size_bytes * 8 / self.rate_bps

@@ -106,3 +106,24 @@ def test_input_trigger_keeps_stale_stamp():
     control.set_rate_limit("f", gbps(4), now=0.0)
     assert scheduler.ordered_list.snapshot()[0].send_time == stamped
     assert scheduler.flows["f"].rate_bps == gbps(4)  # future packets
+
+
+def test_live_write_is_observed_like_any_list_operation():
+    """A write to a resident flow pulls it out and puts it back through
+    the scheduler's observed operations, stamped with the write's time:
+    the depth gauge stays right and the trace pairs the two moves."""
+    from repro.obs import MetricsRegistry, Tracer
+
+    tracer = Tracer()
+    metrics = MetricsRegistry()
+    scheduler = PieoScheduler(StrictPriority(), tracer=tracer,
+                              metrics=metrics)
+    scheduler.add_flow(FlowQueue("a", priority=3))
+    scheduler.on_arrival("a", Packet("a"), 1.0)
+    ControlPlane(scheduler).set_priority("a", 1, now=2.0)
+    assert metrics.gauge("sched.queue_depth").value == 1
+    assert len(scheduler.ordered_list) == 1
+    dequeues = tracer.events_of("dequeue")
+    assert len(dequeues) == 1 and dequeues[0].time == 2.0
+    assert [event.time for event in tracer.events_of("enqueue")] == \
+        [1.0, 2.0]

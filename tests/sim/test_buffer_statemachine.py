@@ -387,8 +387,28 @@ def test_release_underflow_is_rejected():
     packet = _make_packet("a", 1000)
     assert buffer.admit(0, "a", packet, now=0.0)
     buffer.release(0, "a", 1000)
+    before = buffer.occupancy()
     with pytest.raises(ValueError, match="underflow"):
         buffer.release(0, "a", 1000)
+    assert buffer.occupancy() == before
+    assert buffer.flow_pkts == {} and buffer.flow_bytes == {}
+
+
+def test_refused_release_of_an_unknown_flow_changes_nothing():
+    import pytest
+
+    buffer = BufferManager(capacity_bytes=10_000)
+    assert buffer.admit("p", "x", _make_packet("x", 1000), now=0.0)
+    before = buffer.occupancy()
+    flows_before = (buffer.flow_bytes, buffer.flow_pkts)
+    for port, flow, size in (("p", "y", 1000), ("q", "x", 1000),
+                             ("p", "x", 1001)):
+        with pytest.raises(ValueError, match="underflow"):
+            buffer.release(port, flow, size)
+        assert buffer.occupancy() == before
+        assert (buffer.flow_bytes, buffer.flow_pkts) == flows_before
+    buffer.release("p", "x", 1000)
+    assert buffer.total_pkts == 0 and buffer.total_bytes == 0
 
 
 def test_red_different_seeds_may_disagree():
