@@ -222,7 +222,10 @@ class HierarchicalScheduler:
             activated = True
         node = parent
         while node.parent is not None:
-            if node.flow_id not in node.parent.scheduler.ordered_list:
+            # Residency in the parent's view (LogicalPieoView.__contains__
+            # without its frame): the node's group is that view's group.
+            element = node.parent.scheduler._physical.find(node.flow_id)
+            if element is None or element.group != node.group:
                 self._activate(node.parent, node, now)
                 activated = True
             node = node.parent

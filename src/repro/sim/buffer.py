@@ -423,10 +423,6 @@ class BufferManager:
                     and record.bytes + packet.size_bytes
                     > self.per_port_bytes))
 
-    def would_fit(self, port_id: Hashable, flow_id: Hashable,
-                  packet: Packet) -> bool:
-        return self._violated(port_id, flow_id, packet) is None
-
     # -- admission lifecycle -------------------------------------------
     def admit(self, port_id: Hashable, flow_id: Hashable,
               packet: Packet, now: float) -> bool:

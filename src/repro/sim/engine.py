@@ -26,11 +26,12 @@ the one event the engine may withdraw, goes through
 
 Fast path: when the engine is unobserved (null tracer and metrics), it
 *drains* — one timer callback transmits consecutive single-packet
-dequeues back to back, advancing the clock through
-:meth:`Simulator.advance_to` instead of scheduling one timer event per
-packet.  The drain falls back to the event-driven tail the moment any
-pending event would interleave, so the Recorder output (order, times,
-packet ids) is bit-identical to the unbatched path; only
+dequeues back to back, and crosses each shaping gap to the next
+eligibility instant, advancing the clock through
+:meth:`Simulator.advance_to` instead of firing timer events.  The
+drain falls back to the event-driven tail (or the retry timer) the
+moment any pending event would interleave, so the Recorder output
+(order, times, packet ids) is bit-identical to the unbatched path; only
 ``events_fired`` accounting is condensed (each successful advance still
 counts as one event).  On a simulator shared by several engines every
 advance is refused, so the engine skips the drain there and runs the
@@ -221,7 +222,7 @@ class TransmitEngine:
         if packets:
             self._transmit_batch(packets, now)
             return
-        self._arm_retry(now)
+        self._arm_retry(now, self.scheduler.next_eligible_time(now))
 
     def _drain(self, now: float) -> None:
         """Fast path: transmit consecutive single-packet dequeues in one
@@ -230,11 +231,13 @@ class TransmitEngine:
         Equivalence with the event-driven loop (which this replaces only
         on unobserved runs): each iteration plays the ``listener event →
         _try_transmit event`` pair the unbatched path would schedule at
-        the packet's finish time.  ``advance_to`` refuses whenever any
-        pending event fires at or before the finish instant (or the run
-        horizon / event budget is hit), in which case the loop schedules
-        exactly the events the unbatched path would have and exits —
-        so interleaving, and hence Recorder output, never changes.
+        the packet's finish time, and an idle gap plays the retry
+        timer's ``_on_retry → _try_transmit`` pair at its instant.
+        ``advance_to`` refuses whenever any pending event fires at or
+        before the target instant (or the run horizon / event budget is
+        hit), in which case the loop schedules exactly the events the
+        unbatched path would have and exits — so interleaving, and hence
+        Recorder output, never changes.
         """
         sim = self.sim
         schedule = self.scheduler.schedule
@@ -247,7 +250,13 @@ class TransmitEngine:
         while True:
             packets = schedule(now)
             if not packets:
-                self._arm_retry(now)
+                # Idle gap: cross it the way the retry timer would, or
+                # arm that timer when an event or the horizon is first.
+                wake_at = self.scheduler.next_eligible_time(now)
+                if now < wake_at < math.inf and advance(wake_at):
+                    now = wake_at
+                    continue
+                self._arm_retry(now, wake_at)
                 return
             if len(packets) != 1:
                 self._transmit_batch(packets, now)
@@ -338,16 +347,14 @@ class TransmitEngine:
         self._retry_handle = None
         self._retry_timer_id = None
 
-    def _arm_retry(self, now: float) -> None:
-        """Nothing eligible: wake at the next eligibility instant."""
-        next_time = self.scheduler.next_eligible_time(now)
-        if math.isinf(next_time):
-            return  # only a new arrival can make progress
-        wake_at = max(next_time, now)
-        if wake_at == now:
-            # An element is nominally eligible but the scheduler returned
-            # nothing (e.g. empty logical partition); avoid livelock by
-            # waiting for the next arrival.
+    def _arm_retry(self, now: float, wake_at: float) -> None:
+        """Nothing eligible: wake at ``wake_at``, the scheduler's next
+        eligibility instant."""
+        if not now < wake_at < math.inf:
+            # inf: only a new arrival can make progress.  At or before
+            # now: an element is nominally eligible but the scheduler
+            # returned nothing (e.g. empty logical partition); avoid
+            # livelock by waiting for the next arrival.
             return
         self._retry_timer_id = next(self._retry_ids)
         if self._traced:

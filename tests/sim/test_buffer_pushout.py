@@ -49,9 +49,9 @@ FLOWS = ("a", "b", 3, "3")
 SIZES = (64, 100, 1500)
 
 OPS = st.lists(st.tuples(
-    st.sampled_from(("admit", "admit", "send", "depart", "evict")),
+    st.sampled_from(("admit",) * 6 + ("send", "depart", "evict")),
     st.sampled_from(PORTS), st.sampled_from(FLOWS),
-    st.sampled_from(SIZES), st.integers(0, 7)), max_size=60)
+    st.sampled_from(SIZES), st.integers(0, 7)), min_size=20, max_size=60)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,15 +1,21 @@
 """Tests for ports, classification, and the dataplane orchestrator."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, Tracer
-from repro.sched import DeficitRoundRobin, PieoScheduler
+from repro.sched import (DeficitRoundRobin, HierarchicalScheduler,
+                         PieoScheduler, TokenBucket, WF2Qplus,
+                         two_level_tree)
 from repro.sim import (BufferManager, Dataplane, FlowQueue,
                        FnClassifier, HashClassifier, Link, Packet,
                        Simulator, StaticClassifier, TransmitEngine,
                        gbps)
-from repro.sim.generators import CbrGenerator
+from repro.sim.generators import BackloggedSource, CbrGenerator
 from repro.sim.packet import MTU_BYTES, reset_packet_ids
 
 
@@ -314,6 +320,149 @@ def test_single_engine_drain_refused_tail_matches_event_loop():
     assert drained == reference
     assert drained_seen == reference_seen
     assert len(reference) == 120
+
+
+def _backlog(sim, engine, flow_id):
+    source = BackloggedSource(sim, flow_id, engine.arrival_sink, depth=2)
+    engine.add_departure_listener(flow_id, source.on_departure)
+    source.start(0.0)
+
+
+def _flat_tb(rates_mbps, burst):
+    """One flat Token Bucket port, one backlogged flow per rate."""
+    def build(sim, link, metrics):
+        scheduler = PieoScheduler(TokenBucket(default_burst_bytes=burst),
+                                  link_rate_bps=link.rate_bps)
+        engine = TransmitEngine(sim, scheduler, link, metrics=metrics)
+        for index, rate in enumerate(rates_mbps):
+            scheduler.add_flow(FlowQueue(f"f{index}", rate_bps=rate * 1e6))
+            _backlog(sim, engine, f"f{index}")
+        return engine
+    return build
+
+
+def _tb_over_wf2q(rates_mbps, burst, flows_per_node):
+    """The Section 6.3 shape: Token Bucket node limits at the root, WF2Q+
+    among each node's backlogged flows."""
+    def build(sim, link, metrics):
+        root, leaves = two_level_tree(
+            TokenBucket(default_burst_bytes=burst),
+            [WF2Qplus() for _ in rates_mbps], flows_per_node,
+            node_rate_bps=[rate * 1e6 for rate in rates_mbps])
+        scheduler = HierarchicalScheduler(root, link_rate_bps=link.rate_bps)
+        engine = TransmitEngine(sim, scheduler, link, metrics=metrics)
+        for leaf in leaves:
+            _backlog(sim, engine, leaf.flow_id)
+        return engine
+    return build
+
+
+def _run_against_ticker(build, period_ns, phase_ns, metrics=None,
+                        duration=300e-6):
+    """Run ``build``'s engine on a 10 Gbps link beside a ticker event
+    every ``period_ns`` from ``phase_ns`` that records how many packets
+    have departed.  Returns the departures, the ticker's view, and the
+    outcome of each ``advance_to`` that crosses an idle gap (a target
+    past the link's busy time, which a finish instant never is)."""
+    reset_packet_ids()
+    sim = Simulator()
+    link = Link(gbps(10))
+    engine = build(sim, link, metrics)
+    assert engine.drain_enabled == (metrics is None)
+    period, seen = period_ns * 1e-9, []
+
+    def tick():
+        seen.append((sim.now, len(engine.recorder.departures)))
+        if sim.now + period < duration:
+            sim.post(sim.now + period, tick)
+
+    sim.post(phase_ns * 1e-9, tick)
+    idle = []
+    advance_to = sim.advance_to
+
+    def counted(time):
+        crossing = time > link.busy_until
+        taken = advance_to(time)
+        if crossing:
+            idle.append(taken)
+        return taken
+
+    sim.advance_to = counted
+    sim.run_until(duration, max_events=100_000)
+    return engine.recorder.departures, seen, idle
+
+
+def _assert_drain_matches_event_loop(build, period_ns, phase_ns):
+    """The unobserved (drained) run equals a metered run, which takes
+    the event-driven loop and its retry timer throughout; returns the
+    drained run's idle-gap advance outcomes."""
+    drained, drained_seen, idle = _run_against_ticker(
+        build, period_ns, phase_ns)
+    reference, reference_seen, no_advances = _run_against_ticker(
+        build, period_ns, phase_ns, metrics=MetricsRegistry())
+    assert no_advances == []
+    assert drained == reference
+    assert drained_seen == reference_seen
+    assert reference
+    return idle
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=st.booleans(),
+       rates_mbps=st.lists(st.integers(100, 3_000), min_size=1,
+                           max_size=4),
+       burst=st.integers(700, 6_000), flows_per_node=st.integers(1, 3),
+       period_ns=st.integers(1_000, 150_000),
+       phase_ns=st.integers(0, 150_000))
+def test_shaped_drain_matches_event_loop(tree, rates_mbps, burst,
+                                         flows_per_node, period_ns,
+                                         phase_ns):
+    """Token Bucket shaping leaves the link idle between eligibility
+    instants; the drain crosses those gaps itself unless the ticker (or
+    the horizon) comes first, and nothing the ticker sees may change."""
+    build = (_tb_over_wf2q(rates_mbps, burst, flows_per_node) if tree
+             else _flat_tb(rates_mbps, burst))
+    _assert_drain_matches_event_loop(build, period_ns, phase_ns)
+
+
+@pytest.mark.parametrize("period_ns, taken", [(50_000, True),
+                                               (1_000, False)])
+def test_shaped_drain_idle_advance_taken_or_refused(period_ns, taken):
+    """A 1 Gbps flow on a 10 Gbps link idles ~10.8 us per packet: a
+    50 us ticker lets the drain cross most gaps, a 1 us one falls in
+    every gap, so each crossing is refused and the retry timer waits."""
+    idle = _assert_drain_matches_event_loop(_flat_tb([1_000], 1_500),
+                                            period_ns, 0)
+    assert taken in idle
+
+
+class _HoldingScheduler:
+    """Sends a packet only while another waits behind it, yet reports
+    itself eligible now: a nominally eligible element that schedule()
+    does not return, which the engine waits out until an arrival."""
+
+    def __init__(self):
+        self.queue = []
+
+    def on_arrival(self, flow_id, packet, now):
+        self.queue.append(packet)
+
+    def schedule(self, now):
+        return [self.queue.pop(0)] if len(self.queue) > 1 else []
+
+    def next_eligible_time(self, now):
+        return now if self.queue else math.inf
+
+
+def test_drain_waits_for_an_arrival_when_eligible_now_sends_nothing():
+    def build(sim, link, metrics):
+        engine = TransmitEngine(sim, _HoldingScheduler(), link,
+                                metrics=metrics)
+        CbrGenerator(sim, "a", engine.arrival_sink,
+                     rate_bps=gbps(3)).start(0.0)
+        return engine
+
+    assert _assert_drain_matches_event_loop(build, 7_000, 500) == []
 
 
 # ----------------------------------------------------------------------

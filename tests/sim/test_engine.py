@@ -4,9 +4,11 @@ engine-compatible scheduler) and a shaping scheduler for retry timers."""
 import pytest
 
 from repro.baselines.fifo import FifoScheduler
+from repro.obs import MetricsRegistry
 from repro.sched import PieoScheduler, TokenBucket
 from repro.sim import (FlowQueue, Link, Packet, Simulator, TransmitEngine,
                        gbps)
+from repro.sim.packet import reset_packet_ids
 
 
 def test_engine_serializes_packets_on_link():
@@ -40,26 +42,58 @@ def test_engine_stays_quiet_with_no_arrivals():
     assert sim.events_fired == 0
 
 
-def test_engine_arms_retry_for_shaped_traffic():
-    """Non-work-conserving path: a lone ineligible flow must be retried
-    at its send time, not spin."""
+def _shaped_pair(metrics=None):
+    """A lone token-bucket flow holding two packets: the first rides
+    the initial burst allowance, the second must wait a full token
+    refill (1 Mbps -> 12 ms per MTU)."""
+    reset_packet_ids()
     sim = Simulator()
     link = Link(gbps(10))
     scheduler = PieoScheduler(TokenBucket(default_burst_bytes=1500),
                               link_rate_bps=link.rate_bps)
-    flow = FlowQueue("f", rate_bps=1e6)  # 1 Mbps -> 12 ms per MTU
-    scheduler.add_flow(flow)
-    engine = TransmitEngine(sim, scheduler, link)
-    # Two packets: the first rides the initial burst allowance, the
-    # second must wait a full token refill (12 ms).
+    scheduler.add_flow(FlowQueue("f", rate_bps=1e6))
+    engine = TransmitEngine(sim, scheduler, link, metrics=metrics)
     engine.arrival_sink("f", Packet("f"))
     engine.arrival_sink("f", Packet("f"))
+    return sim, engine
+
+
+def test_engine_arms_retry_for_shaped_traffic():
+    """Non-work-conserving path: a lone ineligible flow must be retried
+    at its send time, not spin.  Metering keeps the engine on its
+    event-driven loop, where the wait is a retry timer."""
+    sim, engine = _shaped_pair(metrics=MetricsRegistry())
+    assert not engine.drain_enabled
     sim.run_until(0.1)
     departures = engine.recorder.departures
     assert len(departures) == 2
     gap = departures[1].time - departures[0].time
     assert gap == pytest.approx(1500 * 8 / 1e6, rel=0.01)
+    assert engine.metrics.counter("engine.retry_arms").value == 1
     # The event count must stay tiny (timer-driven, not polling).
+    assert sim.events_fired < 25
+
+
+def test_drain_crosses_the_shaping_gap_without_a_timer():
+    """The unobserved twin of the test above: the drain advances the
+    clock to the send time itself, so no retry timer is scheduled and
+    the same two departures happen."""
+    sim, engine = _shaped_pair()
+    assert engine.drain_enabled
+    scheduled = []
+    schedule = sim.schedule
+
+    def counted(time, callback):
+        scheduled.append(time)
+        return schedule(time, callback)
+
+    sim.schedule = counted
+    sim.run_until(0.1)
+    reference, metered = _shaped_pair(metrics=MetricsRegistry())
+    reference.run_until(0.1)
+    assert engine.recorder.departures == metered.recorder.departures
+    assert len(engine.recorder.departures) == 2
+    assert scheduled == []
     assert sim.events_fired < 25
 
 
