@@ -1,5 +1,5 @@
-"""Core scheduling primitives: elements, predicates, PIEO, PIFO, and the
-ordered-list backend registry."""
+"""Core scheduling primitives: elements, PIEO, PIFO, and the ordered-list
+backend registry."""
 
 from repro._lazy import lazy_namespace
 

@@ -13,8 +13,9 @@ one-word config change::
 Built-in backends
 -----------------
 ``"reference"``
-    :class:`~repro.core.reference.ReferencePieo` — the semantic oracle.
-    Simple, exact, slow.
+    :class:`~repro.core.reference.ReferencePieo` — the semantic oracle
+    and the default list.  Exact; one sorted array while short, ordered
+    sublists with send-time bounds past ``SUBLIST_MAX`` elements.
 ``"hardware"``
     :class:`~repro.core.pieo.PieoHardwareList` — the cycle-accurate
     O(sqrt N) model of the Section 5 design, charging cycles/SRAM/

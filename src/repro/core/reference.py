@@ -1,28 +1,42 @@
 """Reference (software oracle) implementation of the PIEO primitive.
 
 This implementation is *semantically exact* with respect to Section 3.1 of
-the paper and deliberately simple: an array kept sorted by ``(rank, seq)``
-with a linear eligibility scan at dequeue.  It makes no performance or
+the paper: elements are ordered by ``(rank, seq)`` and a dequeue returns
+the first one whose ``send_time`` has passed.  It makes no
 hardware-fidelity claims — it exists so the cycle-accurate hardware model
-(:mod:`repro.core.pieo`) can be differentially tested against it, and as a
-convenient pure-software PIEO for simulations where hardware accounting is
-not needed.
+(:mod:`repro.core.pieo`) can be differentially tested against it, and it
+is the default pure-software PIEO under every simulation.
 
-Two storage modes share the same observable semantics:
+Three storage modes share the same observable semantics.  Keys are
+unique (the FIFO ``seq`` breaks rank ties), so each mode yields exactly
+the flat order and results are bit-identical:
 
 * **flat** (the default): one array sorted by ``(rank, seq)``, exactly
-  the paper's mental model;
-* **grouped**: per-group sorted arrays, entered lazily on the first
-  single-group ``dequeue``/``peek``.  Logical-PIEO views
-  (:class:`repro.sched.framework.LogicalPieoView`) and the schedulers
-  built on them issue *only* single-group operations, and maintaining
-  a global sorted array next to the per-group ones doubles every
-  insert/remove for no benefit — the grouped mode keeps only the
-  per-group arrays and derives the global (rank, seq) order on demand
-  for the rare whole-list operation
-  (``snapshot``, flat ``dequeue``/``peek``, ``min_send_time``).  Keys are
-  unique (the FIFO ``seq`` breaks rank ties), so the derived order is
-  exactly the flat order and results are bit-identical.
+  the paper's mental model, with a linear eligibility scan at dequeue.
+  It is the cheapest layout while the list is short.
+* **sublists**: once flat storage holds more than :data:`SUBLIST_MAX`
+  elements it is cut, for good, into ordered sublists of at most that
+  many elements — the Ordered-Sublist-Array of Section 5 in software.
+  Each sublist keeps its elements' ranks, a routing rank that an
+  enqueue bisects to pick its sublist (the paper's smallest-rank
+  pointer array; at least every rank in the sublist and at most every
+  rank after it) and a lower bound on its send times (the hardware's
+  ``smallest_send_time``).  An insert lowers the bound; a dequeue scan
+  that finds nothing eligible in the sublist sets it to the sublist's
+  exact minimum.  A dequeue skips every sublist whose bound is above
+  ``now``, so no operation shifts or scans the whole list.  An emptied
+  sublist is removed and an overflowing one is split in two.  Ranks
+  alone place an enqueue: its ``seq`` is the largest yet, so it goes
+  after every equal rank.
+* **grouped**: per-group sorted arrays, entered lazily (from either
+  other mode) on the first single-group ``dequeue``/``peek``.
+  Logical-PIEO views (:class:`repro.sched.framework.LogicalPieoView`)
+  and the schedulers built on them issue *only* single-group
+  operations, and maintaining a global sorted order next to the
+  per-group arrays doubles every insert/remove for no benefit — the
+  grouped mode keeps only the per-group arrays and derives the global
+  (rank, seq) order on demand for the rare whole-list operation
+  (``snapshot``, flat ``dequeue``/``peek``, ``min_send_time``).
 """
 
 from __future__ import annotations
@@ -31,9 +45,20 @@ import bisect
 import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.core.element import Element, Time
+from repro.core.element import Element, Rank, Time
 from repro.core.interfaces import PieoList
 from repro.errors import CapacityError, DuplicateFlowError
+
+#: Flat storage that grows past this many elements switches to sublists,
+#: and a sublist that grows past it splits in two.  Shorter lists stay
+#: flat: a sublist costs a second bisect per enqueue, which lists of a
+#: few elements do not win back.
+SUBLIST_MAX = 32
+
+#: Elements in the first half of a split (a split sublist holds
+#: ``SUBLIST_MAX + 1``), and the length of the sublists a flat list is
+#: cut into.
+_HALF = (SUBLIST_MAX + 1) // 2
 
 
 class ReferencePieo(PieoList):
@@ -55,6 +80,14 @@ class ReferencePieo(PieoList):
         self._keys: List[Tuple] = []  # parallel (rank, seq) keys for bisect
         self._resident: Dict[Hashable, Element] = {}
         self._next_seq = 0
+        # Sublist storage mode (see module docstring): None until flat
+        # storage outgrows SUBLIST_MAX; then four parallel lists with one
+        # entry per sublist: its elements, their ranks, its routing rank
+        # (unused on the last sublist) and its send-time lower bound.
+        self._subs: Optional[List[List[Element]]] = None
+        self._sub_ranks: List[List[Rank]] = []
+        self._sub_last: List[Rank] = []
+        self._sub_low: List[Time] = []
         # Grouped storage mode (see module docstring): entered on the
         # first single-group dequeue/peek; flat (ungrouped) use never
         # pays for it.
@@ -84,8 +117,8 @@ class ReferencePieo(PieoList):
                 f"flow {element.flow_id!r} already resident")
         element.seq = self._next_seq
         self._next_seq += 1
-        key = (element.rank, element.seq)
         if self._grouped:
+            key = (element.rank, element.seq)
             keys = self._group_keys.get(element.group)
             if keys is None:
                 self._group_items[element.group] = [element]
@@ -94,10 +127,38 @@ class ReferencePieo(PieoList):
                 position = bisect.bisect_left(keys, key)
                 keys.insert(position, key)
                 self._group_items[element.group].insert(position, element)
+        elif self._subs is not None:
+            rank = element.rank
+            last = self._sub_last
+            index = bisect.bisect_right(last, rank, 0, len(last) - 1)
+            ranks = self._sub_ranks[index]
+            items = self._subs[index]
+            position = bisect.bisect_right(ranks, rank)
+            ranks.insert(position, rank)
+            items.insert(position, element)
+            low = self._sub_low
+            if element.send_time < low[index]:
+                low[index] = element.send_time
+            if len(ranks) > SUBLIST_MAX:
+                # Split in two by slice assignment, not list.insert,
+                # so a decision makes the same calls whether or not it
+                # splits (or, in dequeue, removes an emptied sublist):
+                # calls per decision do not depend on the flow count.
+                index += 1
+                self._subs[index:index] = [items[_HALF:]]
+                del items[_HALF:]
+                self._sub_ranks[index:index] = [ranks[_HALF:]]
+                del ranks[_HALF:]
+                last[index - 1:index - 1] = [ranks[-1]]
+                low[index:index] = [low[index - 1]]
         else:
+            key = (element.rank, element.seq)
             position = bisect.bisect_left(self._keys, key)
             self._items.insert(position, element)
             self._keys.insert(position, key)
+            if len(self._keys) > SUBLIST_MAX:
+                self._open_sublists(self._items)
+                self._items, self._keys = [], []
         self._resident[element.flow_id] = element
 
     def dequeue_flow(self, flow_id: Hashable) -> Optional[Element]:
@@ -108,9 +169,13 @@ class ReferencePieo(PieoList):
             self._group_remove(element)
             del self._resident[flow_id]
             return element
+        if self._subs is not None:
+            return self._sub_pop(*self._sub_index_of(element))
         return self._pop(self._index_of(element))
 
     def snapshot(self) -> List[Element]:
+        if self._subs is not None:
+            return [element for items in self._subs for element in items]
         if not self._grouped:
             return list(self._items)
         groups = [pairs for pairs in self._group_items.values() if pairs]
@@ -155,7 +220,8 @@ class ReferencePieo(PieoList):
             self._group_keys[group].pop(position)
             del self._resident[element.flow_id]
             return element
-        if group_range is None:
+        subs = self._subs
+        if group_range is None and subs is None:
             # _first_eligible and _pop, inlined on the flat hot path.
             items = self._items
             for position, element in enumerate(items):
@@ -164,6 +230,33 @@ class ReferencePieo(PieoList):
                     del self._resident[element.flow_id]
                     return element
             return None
+        if group_range is None:
+            # _sub_first_eligible and _sub_pop, inlined on the sublist
+            # hot path.
+            low = self._sub_low
+            for index, bound in enumerate(low):
+                if bound > now:
+                    continue
+                items = subs[index]
+                least = math.inf
+                for position, element in enumerate(items):
+                    send_time = element.send_time
+                    if send_time <= now:
+                        del items[position], self._sub_ranks[index][position]
+                        if not items:
+                            del (subs[index], self._sub_ranks[index],
+                                 self._sub_last[index], low[index])
+                            if not subs:
+                                self._open_sublists([])
+                        del self._resident[element.flow_id]
+                        return element
+                    if send_time < least:
+                        least = send_time
+                low[index] = least
+            return None
+        if subs is not None:
+            found = self._sub_first_eligible(now, group_range)
+            return None if found is None else self._sub_pop(*found)
         position = self._first_eligible(now, group_range)
         if position is None:
             return None
@@ -187,6 +280,12 @@ class ReferencePieo(PieoList):
                 return None
             group, position = found
             return self._group_items[group][position]
+        if self._subs is not None:
+            found = self._sub_first_eligible(now, group_range)
+            if found is None:
+                return None
+            index, position = found
+            return self._subs[index][position]
         position = self._first_eligible(now, group_range)
         if position is None:
             return None
@@ -200,6 +299,13 @@ class ReferencePieo(PieoList):
                     if element.send_time < smallest:
                         smallest = element.send_time
             return smallest
+        if self._subs is not None:
+            # Exact per sublist, so every bound is tightened on the way.
+            low = self._sub_low
+            for index, items in enumerate(self._subs):
+                low[index] = min([element.send_time for element in items],
+                                 default=math.inf)
+            return min(low)
         if not self._items:
             return math.inf
         return min(element.send_time for element in self._items)
@@ -221,6 +327,28 @@ class ReferencePieo(PieoList):
             for position, element in enumerate(self._items):
                 if element.send_time <= now and lo <= element.group <= hi:
                     return position
+        return None
+
+    def _sub_first_eligible(self, now: Time,
+                            group_range: Optional[Tuple[int, int]],
+                            ) -> Optional[Tuple[int, int]]:
+        """(sublist, position) of the first eligible element in sublist
+        mode.  Skips sublists whose send-time bound is above ``now`` and
+        tightens the bound of each sublist it scans to the end."""
+        lo, hi = group_range if group_range is not None else (None, None)
+        low = self._sub_low
+        for index, bound in enumerate(low):
+            if bound > now:
+                continue
+            least = math.inf
+            for position, element in enumerate(self._subs[index]):
+                send_time = element.send_time
+                if send_time <= now and (lo is None
+                                         or lo <= element.group <= hi):
+                    return index, position
+                if send_time < least:
+                    least = send_time
+            low[index] = least
         return None
 
     def _best_across_groups(self, now: Time,
@@ -246,7 +374,53 @@ class ReferencePieo(PieoList):
                     break
         return best
 
+    def _open_sublists(self, items: List[Element]) -> None:
+        """Enter sublist mode with the key-sorted ``items``, cut into
+        sublists of ``_HALF`` (one empty sublist when there are none)."""
+        starts = range(0, len(items), _HALF) or (0,)
+        self._subs = [items[start:start + _HALF] for start in starts]
+        self._sub_ranks = [[element.rank for element in chunk]
+                           for chunk in self._subs]
+        self._sub_last = [chunk[-1] if chunk else math.inf
+                          for chunk in self._sub_ranks]
+        self._sub_low = [min([element.send_time for element in chunk],
+                             default=math.inf) for chunk in self._subs]
+
+    def _sub_index_of(self, element: Element) -> Tuple[int, int]:
+        """(sublist, position) of a resident element in sublist mode.
+        Equal ranks may run on across sublists, so the search starts at
+        the first sublist that can hold the rank and walks on."""
+        rank = element.rank
+        last = self._sub_last
+        index = bisect.bisect_left(last, rank, 0, len(last) - 1)
+        while True:
+            items = self._subs[index]
+            start = bisect.bisect_left(self._sub_ranks[index], rank)
+            for position in range(start, len(items)):
+                if items[position] is element:
+                    return index, position
+            index += 1
+
+    def _sub_pop(self, index: int, position: int) -> Element:
+        items = self._subs[index]
+        element = items.pop(position)
+        del self._sub_ranks[index][position]
+        if not items:
+            del (self._subs[index], self._sub_ranks[index],
+                 self._sub_last[index], self._sub_low[index])
+            if not self._subs:
+                self._open_sublists([])
+        del self._resident[element.flow_id]
+        return element
+
     def _enter_grouped_mode(self) -> None:
+        if self._subs is not None:
+            self._items = [element for items in self._subs
+                           for element in items]
+            self._keys = [(element.rank, element.seq)
+                          for element in self._items]
+            self._subs = None
+            self._sub_ranks, self._sub_last, self._sub_low = [], [], []
         for element, key in zip(self._items, self._keys):
             self._group_items.setdefault(element.group, []).append(element)
             self._group_keys.setdefault(element.group, []).append(key)

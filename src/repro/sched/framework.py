@@ -199,10 +199,6 @@ class SchedulerContext:
         requeue_ctx.subtree_blocked = False
         scheduler.algorithm.pre_enqueue(requeue_ctx, flow)
 
-    def dequeue_specific(self, flow_id: Hashable) -> Optional[Element]:
-        """ordered_list.dequeue(f) — the asynchronous extract."""
-        return self._scheduler._list_dequeue_flow(flow_id, now=self.now)
-
     # -- transmission -------------------------------------------------------
     def transmit_head(self, flow: FlowQueue) -> Optional[Packet]:
         """send(f.queue.head): pop the head packet and emit it.

@@ -284,19 +284,23 @@ class BackloggedSource:
         start_time = self.sim.now if at is None else at
         self.sim.post(start_time, self._prime)
 
+    # Both refills build the packet and call the sink inline, with no
+    # helper frame, as PacketGenerator._fire does.
     def _prime(self) -> None:
+        flow_id, sink, sim = self.flow_id, self.sink, self.sim
         for _ in range(self.depth):
-            self._emit()
+            packet = Packet(flow_id, self.size_bytes, sim.now)
+            self.packets_generated += 1
+            self._outstanding += 1
+            sink(flow_id, packet)
 
     def on_departure(self) -> None:
         """Engine callback: one of this flow's packets left the wire."""
         self._outstanding -= 1
-        if self.sim.now < self.end_time:
-            self._emit()
-
-    def _emit(self) -> None:
-        packet = Packet(flow_id=self.flow_id, size_bytes=self.size_bytes,
-                        arrival_time=self.sim.now)
-        self.packets_generated += 1
-        self._outstanding += 1
-        self.sink(self.flow_id, packet)
+        now = self.sim.now
+        if now < self.end_time:
+            flow_id = self.flow_id
+            packet = Packet(flow_id, self.size_bytes, now)
+            self.packets_generated += 1
+            self._outstanding += 1
+            self.sink(flow_id, packet)

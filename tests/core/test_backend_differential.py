@@ -17,8 +17,11 @@ import pytest
 
 from repro.core.backends import available_backends, make_list
 from repro.core.element import Element
+from repro.core.reference import SUBLIST_MAX
 
 CAPACITY = 32
+#: Past the reference list's flat-storage limit, so it runs on sublists.
+LARGE_CAPACITY = 4 * SUBLIST_MAX
 OPS_PER_SEED = 1_500
 SEEDS = [1, 7, 42, 1337, 0xC0FFEE]
 
@@ -28,15 +31,15 @@ SEEDS = [1, 7, 42, 1337, 0xC0FFEE]
 _CONFIG = {"hardware": {"self_check": False}}
 
 
-def _lockstep_implementations():
+def _lockstep_implementations(capacity):
     names = list(available_backends())
     # The oracle drives the comparison: put it first.
     names.sort(key=lambda name: name != "reference")
-    return names, [make_list(name, capacity=CAPACITY,
+    return names, [make_list(name, capacity=capacity,
                              **_CONFIG.get(name, {})) for name in names]
 
 
-def _generate_op(rng: random.Random):
+def _generate_op(rng: random.Random, single_group: bool = True):
     kind = rng.random()
     if kind < 0.45:
         return ("enqueue", rng.randint(0, 20),
@@ -47,29 +50,32 @@ def _generate_op(rng: random.Random):
     if kind < 0.85:
         lo = rng.randint(0, 2)
         return ("dequeue_grouped", rng.randint(0, 30), lo,
-                lo + rng.randint(0, 2))
+                lo + rng.randint(0 if single_group else 1, 2))
     return ("dequeue_flow", rng.randint(0, 60))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_all_registered_backends_agree(seed):
-    """>= 1000 random ops per seed, every backend in lockstep with the
-    reference oracle on results, snapshots and min_send_time."""
+def _run_lockstep(seed: int, capacity: int, single_group_from: int = 0):
+    """Drive every backend through ``OPS_PER_SEED`` random ops and
+    return the longest the lists grew.  Single-group dequeues, which
+    switch the reference list to grouped storage for good, are drawn
+    only from step ``single_group_from`` on."""
     rng = random.Random(seed)
-    names, impls = _lockstep_implementations()
-    context = f"seed={seed} backends={names}"
+    names, impls = _lockstep_implementations(capacity)
+    context = f"seed={seed} capacity={capacity} backends={names}"
     next_flow = 0
+    peak = 0
     for step in range(OPS_PER_SEED):
-        op = _generate_op(rng)
+        op = _generate_op(rng, single_group=step >= single_group_from)
         where = f"{context} step={step} op={op}"
         if op[0] == "enqueue":
-            if len(impls[0]) >= CAPACITY:
+            if len(impls[0]) >= capacity:
                 continue
             _, rank, send_time, group = op
             for impl in impls:
                 impl.enqueue(Element(next_flow, rank=rank,
                                      send_time=send_time, group=group))
             next_flow += 1
+            peak = max(peak, len(impls[0]))
             continue
         if op[0] == "dequeue":
             results = [impl.dequeue(op[1]) for impl in impls]
@@ -88,3 +94,21 @@ def test_all_registered_backends_agree(seed):
         min_sends = [impl.min_send_time() for impl in impls]
         assert all(m == min_sends[0] for m in min_sends), \
             f"{where} min_send={min_sends}"
+    return peak
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_all_registered_backends_agree(seed):
+    """>= 1000 random ops per seed, every backend in lockstep with the
+    reference oracle on results, snapshots and min_send_time."""
+    _run_lockstep(seed, CAPACITY)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_all_registered_backends_agree_past_sublist_threshold(seed):
+    """The same lockstep on lists that outgrow ``SUBLIST_MAX``, so the
+    reference runs on sublists (and switches to grouped storage in the
+    last third of the ops)."""
+    peak = _run_lockstep(seed, LARGE_CAPACITY,
+                         single_group_from=OPS_PER_SEED * 2 // 3)
+    assert peak > SUBLIST_MAX
