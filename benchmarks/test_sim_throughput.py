@@ -14,10 +14,10 @@ baseline (``reference``: batched drain off) dispatches every transmit
 timer through the event queue; ``reference+drain`` lets one engine
 callback fast-forward the clock through a chain of them
 (:meth:`repro.sim.events.Simulator.advance_to`), the default for
-unobserved single-port runs.  The baseline turns the drain off the way
-any shared clock does: it registers one more clock consumer before the
-engine is built, so the engine sees ``sim.clock_shared`` and takes its
-event-driven loop.
+every single-port run, observed or not.  The baseline turns the drain
+off the way any shared clock does: it registers one more clock
+consumer before the engine is built, so the engine sees
+``sim.clock_shared`` and takes its event-driven loop.
 """
 
 import statistics

@@ -6,12 +6,8 @@ _EXPORTS = {
     "repro.analysis.deviation": ("inversions", "kendall_tau_distance",
                                  "max_deviation", "mean_deviation",
                                  "positionwise_deviation"),
-    "repro.analysis.fairness": ("jains_index", "max_relative_error",
-                                "normalized_shares",
-                                "weighted_jains_index"),
-    "repro.analysis.latency": ("LatencyStats", "delay_stats_by_flow",
-                               "packet_delays", "pacing_jitter",
-                               "summarize"),
+    "repro.analysis.fairness": ("jains_index", "max_relative_error"),
+    "repro.analysis.latency": ("LatencyStats", "summarize"),
     "repro.analysis.quantiles": ("exact_quantile",),
 }
 

@@ -18,14 +18,6 @@ def jains_index(allocations: Sequence[float]) -> float:
     return (total * total) / (len(values) * squares)
 
 
-def weighted_jains_index(allocations: Dict[Hashable, float],
-                         weights: Dict[Hashable, float]) -> float:
-    """Jain's index over weight-normalized allocations x_i / w_i."""
-    normalized = [allocations[key] / weights[key]
-                  for key in allocations if weights.get(key, 0) > 0]
-    return jains_index(normalized)
-
-
 def max_relative_error(achieved: Dict[Hashable, float],
                        target: Dict[Hashable, float]) -> float:
     """Worst-case |achieved - target| / target across keys; the rate-limit
@@ -38,12 +30,3 @@ def max_relative_error(achieved: Dict[Hashable, float],
         if error > worst:
             worst = error
     return worst
-
-
-def normalized_shares(achieved: Dict[Hashable, float]) -> Dict[Hashable,
-                                                               float]:
-    """Each key's fraction of the total allocation."""
-    total = sum(achieved.values())
-    if total <= 0:
-        return {key: 0.0 for key in achieved}
-    return {key: value / total for key, value in achieved.items()}

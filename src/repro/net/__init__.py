@@ -8,8 +8,7 @@ package composes the existing layers into that setting:
 
 * :class:`~repro.net.topology.Topology` — hosts, switches, directed
   links with rate and propagation delay, plus the canonical builders
-  (:func:`~repro.net.topology.dumbbell`,
-  :func:`~repro.net.topology.leaf_spine`,
+  (:func:`~repro.net.topology.leaf_spine`,
   :func:`~repro.net.topology.fat_tree`);
 * :mod:`~repro.net.routing` — static shortest-path next-hop tables with
   seeded, process-stable ECMP 5-tuple hashing;
@@ -35,8 +34,7 @@ so fabric sweeps shard across processes byte-identically.
 from repro._lazy import lazy_namespace
 
 _EXPORTS = {
-    "repro.net.topology": ("Topology", "dumbbell", "leaf_spine",
-                           "fat_tree"),
+    "repro.net.topology": ("Topology", "leaf_spine", "fat_tree"),
     "repro.net.routing": ("RoutingTable", "build_routes", "ecmp_next_hop"),
     "repro.net.switch": ("FabricSwitch",),
     "repro.net.host": ("Host",),

@@ -144,9 +144,3 @@ class FctCollector:
             stats[f"{name}_p50"] = exact_quantile(slowdowns, 0.50)
             stats[f"{name}_p99"] = exact_quantile(slowdowns, 0.99)
         return stats
-
-    def mean_residence_us(self) -> Dict[str, float]:
-        """Mean per-packet residence per node, microseconds."""
-        return {node: entry["total_s"] / entry["packets"] * 1e6
-                for node, entry in sorted(self.residence.items())
-                if entry["packets"]}

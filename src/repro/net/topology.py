@@ -9,8 +9,6 @@ independent wire (full duplex).
 
 Builders cover the canonical evaluation fabrics:
 
-* :func:`dumbbell` — two access switches joined by one core link, the
-  classic congestion funnel;
 * :func:`leaf_spine` — every leaf connects to every spine (2-tier Clos),
   the standard datacenter FCT topology;
 * :func:`fat_tree` — the k-ary 3-tier fat-tree (Al-Fahad et al.):
@@ -136,25 +134,6 @@ class Topology:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-def dumbbell(hosts_per_side: int = 4, access_gbps: float = 10.0,
-             core_gbps: float = 40.0,
-             delay_s: float = DEFAULT_DELAY_S) -> Topology:
-    """Two access switches ``s0``/``s1`` joined by one core link;
-    hosts ``h0..h{n-1}`` hang off ``s0``, ``h{n}..h{2n-1}`` off
-    ``s1``."""
-    if hosts_per_side < 1:
-        raise ConfigurationError("need at least one host per side")
-    topo = Topology()
-    topo.add_switch("s0")
-    topo.add_switch("s1")
-    for index in range(2 * hosts_per_side):
-        host = topo.add_host(f"h{index}")
-        switch = "s0" if index < hosts_per_side else "s1"
-        topo.add_link(host, switch, gbps(access_gbps), delay_s)
-    topo.add_link("s0", "s1", gbps(core_gbps), delay_s)
-    return topo
-
-
 def leaf_spine(leaves: int = 2, spines: int = 2,
                hosts_per_leaf: int = 2, host_gbps: float = 10.0,
                fabric_gbps: float = 20.0,

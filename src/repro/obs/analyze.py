@@ -29,11 +29,11 @@ conservatively attributed to eligibility wait and the affected packets
 are flagged ``eligibility_exact=False``.
 
 On top of the timelines: per-flow reports with exact (sample-sorted)
-p50/p90/p99/p999 latency, sliding-window throughput and Jain fairness,
-a starvation detector, Recorder-equivalent rate/ordering views derived
-from the trace (so :class:`repro.sim.recorder.Recorder` and the tracer
-no longer disagree silently), and audits that fail loudly on truncated
-or corrupted traces.
+p50/p90/p99/p999 latency, a starvation detector, Recorder-equivalent
+rate/ordering views derived from the trace (so
+:class:`repro.sim.recorder.Recorder` and the tracer no longer disagree
+silently), and audits that fail loudly on truncated or corrupted
+traces.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.analysis.fairness import jains_index
 from repro.analysis.quantiles import exact_quantile
 from repro.sim.recorder import Recorder
 
@@ -712,32 +710,6 @@ class TraceAnalysis:
             for record in summary.values():
                 record["throughput_bps"] = record["bytes"] * 8 / span
         return summary
-
-    # ------------------------------------------------------------------
-    # Fairness / throughput over sliding windows
-    # ------------------------------------------------------------------
-    def rate_timeseries(self, bucket_seconds: float,
-                        ) -> Dict[Hashable, List[float]]:
-        return self.to_recorder().rate_timeseries(bucket_seconds)
-
-    def fairness_timeseries(self, bucket_seconds: float,
-                            flow_ids: Optional[Sequence[Hashable]]
-                            = None) -> List[float]:
-        """Jain's fairness index of per-flow throughput, one value per
-        window (1.0 = perfectly fair across the observed flows)."""
-        series = self.rate_timeseries(bucket_seconds)
-        if flow_ids is not None:
-            series = {flow_id: values for flow_id, values
-                      in series.items() if flow_id in set(flow_ids)}
-        if not series:
-            return []
-        buckets = max(len(values) for values in series.values())
-        result = []
-        for index in range(buckets):
-            rates = [values[index] if index < len(values) else 0.0
-                     for values in series.values()]
-            result.append(jains_index(rates))
-        return result
 
     # ------------------------------------------------------------------
     # Starvation detection

@@ -51,10 +51,8 @@ class SweepHeartbeat:
     (``--heartbeat`` on the experiments CLI).
     """
 
-    def __init__(self, label: str = "sweep", stream=None, tracer=None,
-                 clock=time.perf_counter,
+    def __init__(self, stream=None, tracer=None, clock=time.perf_counter,
                  min_interval_s: float = 0.0) -> None:
-        self.label = label
         self._stream = stream
         self.tracer = tracer
         self._clock = clock
@@ -72,7 +70,7 @@ class SweepHeartbeat:
         return self._stream if self._stream is not None else sys.stderr
 
     def _line(self, text: str) -> None:
-        print(f"[{self.label}] {text}", file=self.stream, flush=True)
+        print(f"[sweep] {text}", file=self.stream, flush=True)
 
     def _mark(self, phase: str, **fields) -> None:
         if self.tracer is not None:

@@ -24,17 +24,19 @@ Events: kicks and departure listeners are posted with
 the one event the engine may withdraw, goes through
 :meth:`Simulator.schedule` and keeps its :class:`EventHandle`.
 
-Fast path: when the engine is unobserved (null tracer and metrics), it
-*drains* — one timer callback transmits consecutive single-packet
-dequeues back to back, and crosses each shaping gap to the next
-eligibility instant, advancing the clock through
-:meth:`Simulator.advance_to` instead of firing timer events.  The
-drain falls back to the event-driven tail (or the retry timer) the
-moment any pending event would interleave, so the Recorder output
-(order, times, packet ids) is bit-identical to the unbatched path; only
-``events_fired`` accounting is condensed (each successful advance still
+Fast path: the scheduling loop *drains* — one callback transmits
+consecutive single-packet dequeues back to back, and crosses each
+shaping gap to the next eligibility instant, advancing the clock
+through :meth:`Simulator.advance_to` instead of firing the kick,
+listener and retry-timer events.  Traced or metered, it emits at each
+step exactly what those events would have (``kick``, ``timer_arm`` /
+``timer_fire``, ``engine.kicks``, ``engine.retry_arms``), in the same
+order.  It falls back to posting those events (or arming the retry
+timer) the moment any pending event would interleave, so the Recorder
+output, the trace and the metrics are identical to the unbatched loop;
+only ``events_fired`` is condensed (each successful advance still
 counts as one event).  On a simulator shared by several engines every
-advance is refused, so the engine skips the drain there and runs the
+advance would be refused, so the engine does not ask and runs the
 event-driven loop directly.
 """
 
@@ -44,7 +46,7 @@ import itertools
 import math
 import time
 from bisect import bisect_left
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.obs.metrics import BATCH_BUCKETS, LATENCY_BUCKETS_US
 from repro.obs.scope import NULL_COUNTER, NULL_METRICS, NULL_TRACER
@@ -96,8 +98,8 @@ class TransmitEngine:
         self.departure_hook = departure_hook
         self.arrivals = 0
         # Declare ourselves to the simulator: with >1 registered
-        # engines, Simulator.advance_to refuses every fast-forward and
-        # the drain falls back to its event-driven tail, which
+        # engines the clock is shared, advance_to refuses every
+        # fast-forward, and the loop takes its event-driven tail, which
         # serializes engines correctly through the shared queue.
         sim.register_clock_consumer()
         self.recorder = recorder if recorder is not None else Recorder()
@@ -125,9 +127,6 @@ class TransmitEngine:
         #: True when the registry hands out live instruments (any null
         #: registry hands out the shared null ones).
         self._metered = self._c_arrivals is not NULL_COUNTER
-        # Drain only when nothing observes the event-level behaviour
-        # the drain condenses.
-        self.drain_enabled = not self._traced and not self._metered
 
     # ------------------------------------------------------------------
     # Inputs
@@ -186,157 +185,126 @@ class TransmitEngine:
     # The scheduling loop
     # ------------------------------------------------------------------
     def _try_transmit(self) -> None:
+        """Fig. 3's loop, one pass per ``schedule()`` call.
+
+        A pass after a lone departure stands in for the unbatched
+        loop's ``listener event -> _try_transmit event`` pair at the
+        packet's finish time, and a pass after an idle gap for the
+        retry timer's ``_on_retry -> _try_transmit`` pair at its
+        instant.  When the clock is shared, or ``advance_to`` refuses
+        (an event, the horizon or the event budget comes first), the
+        loop posts exactly those events instead and returns.
+        """
         self._kick_pending = False
         sim = self.sim
         now = sim.now
-        if now < self.link.busy_until:
+        link = self.link
+        if now < link.busy_until:
             self.kick()
             return
         if self._retry_handle is not None:
             self._cancel_retry(now)
-        # On a shared clock every advance_to is refused, and the drain
-        # would only replay the event-driven loop below one frame deeper.
-        if self.drain_enabled and not sim.clock_shared:
-            self._drain(now)
-            return
-        if self._metered:
-            start = time.perf_counter()
-            packets = self.scheduler.schedule(now)
-            elapsed_us = (time.perf_counter() - start) * 1e6
-            # Histogram.observe, inlined, for the wall time and the
-            # batch size of this schedule() call.
-            for histogram, value in ((self._h_schedule_us, elapsed_us),
-                                     (self._h_batch, len(packets))):
-                histogram.counts[bisect_left(histogram.buckets,
-                                             value)] += 1
-                histogram.count += 1
-                histogram.sum += value
-                if histogram.min is None:
-                    histogram.min = histogram.max = value
-                elif value < histogram.min:
-                    histogram.min = value
-                elif value > histogram.max:
-                    histogram.max = value
-        else:
-            packets = self.scheduler.schedule(now)
-        if packets:
-            self._transmit_batch(packets, now)
-            return
-        self._arm_retry(now, self.scheduler.next_eligible_time(now))
-
-    def _drain(self, now: float) -> None:
-        """Fast path: transmit consecutive single-packet dequeues in one
-        callback, advancing the clock between them.
-
-        Equivalence with the event-driven loop (which this replaces only
-        on unobserved runs): each iteration plays the ``listener event →
-        _try_transmit event`` pair the unbatched path would schedule at
-        the packet's finish time, and an idle gap plays the retry
-        timer's ``_on_retry → _try_transmit`` pair at its instant.
-        ``advance_to`` refuses whenever any pending event fires at or
-        before the target instant (or the run horizon / event budget is
-        hit), in which case the loop schedules exactly the events the
-        unbatched path would have and exits — so interleaving, and hence
-        Recorder output, never changes.
-        """
-        sim = self.sim
-        schedule = self.scheduler.schedule
-        link_transmit = self.link.transmit
-        record = self.recorder.record
-        listeners = self.departure_listeners
-        advance = sim.advance_to
-        release = self.release
-        departure_hook = self.departure_hook
+        # On a shared clock every advance_to is refused: don't ask.
+        drain = not sim.clock_shared
+        scheduler = self.scheduler
+        traced = self._traced
+        metered = self._metered
         while True:
-            packets = schedule(now)
+            if metered:
+                began = time.perf_counter()
+                packets = scheduler.schedule(now)
+                elapsed_us = (time.perf_counter() - began) * 1e6
+                # Histogram.observe, inlined, for the wall time and the
+                # batch size of this schedule() call.
+                for histogram, value in ((self._h_schedule_us, elapsed_us),
+                                         (self._h_batch, len(packets))):
+                    histogram.counts[bisect_left(histogram.buckets,
+                                                 value)] += 1
+                    histogram.count += 1
+                    histogram.sum += value
+                    if histogram.min is None:
+                        histogram.min = histogram.max = value
+                    elif value < histogram.min:
+                        histogram.min = value
+                    elif value > histogram.max:
+                        histogram.max = value
+            else:
+                packets = scheduler.schedule(now)
             if not packets:
-                # Idle gap: cross it the way the retry timer would, or
-                # arm that timer when an event or the horizon is first.
-                wake_at = self.scheduler.next_eligible_time(now)
-                if now < wake_at < math.inf and advance(wake_at):
-                    now = wake_at
-                    continue
-                self._arm_retry(now, wake_at)
-                return
-            if len(packets) != 1:
-                self._transmit_batch(packets, now)
-                return
-            packet = packets[0]
-            finish = link_transmit(packet, now)
-            packet.departure_time = finish
-            record(now, packet.flow_id, packet.size_bytes,
-                   packet.packet_id)
-            if release is not None:
-                release(packet.flow_id, packet.size_bytes)
-            if departure_hook is not None:
-                departure_hook(packet)
-            listener = listeners.get(packet.flow_id)
-            if not advance(finish):
-                # Event-driven tail, exactly as _transmit_batch does it:
-                # listener first, then the re-kick, so pending events at
-                # earlier instants interleave identically.
-                if listener is not None:
+                # Idle gap: cross it as the retry timer would, or arm
+                # that timer when an event or the horizon comes first.
+                wake_at = scheduler.next_eligible_time(now)
+                if not (drain and now < wake_at < math.inf
+                        and sim.advance_to(wake_at)):
+                    self._arm_retry(now, wake_at)
+                    return
+                timer_id = next(self._retry_ids)
+                if traced:
+                    self.tracer.timer_arm(now, timer_id, deadline=wake_at,
+                                          scope="engine.retry")
+                    self.tracer.timer_fire(wake_at, timer_id,
+                                           scope="engine.retry")
+                    self.tracer.kick(wake_at, at=wake_at)
+                if metered:
+                    self._c_retry_arms.value += 1
+                    self._c_kicks.value += 1
+                now = wake_at
+                continue
+            # A batch posts each listener in the departure body, after
+            # any events departure_hook posts; a lone packet's listener
+            # waits to see whether the clock can advance to its finish.
+            batch = len(packets) > 1
+            start = now
+            for packet in packets:
+                finish = link.transmit(packet, start)
+                packet.departure_time = finish
+                self.recorder.record(start, packet.flow_id,
+                                     packet.size_bytes, packet.packet_id)
+                if self.release is not None:
+                    self.release(packet.flow_id, packet.size_bytes)
+                if self.departure_hook is not None:
+                    self.departure_hook(packet)
+                if traced:
+                    self.tracer.departure(start, packet.flow_id,
+                                          packet.size_bytes,
+                                          packet.packet_id, finish=finish,
+                                          arrival_t=packet.arrival_time)
+                if metered:
+                    self._c_departures.value += 1
+                    # Gauge.dec, inlined (see the Gauge invariant).
+                    for gauge, amount in ((self._g_backlog_pkts, 1),
+                                          (self._g_backlog_bytes,
+                                           packet.size_bytes)):
+                        value = gauge.value = gauge.value - amount
+                        if gauge.min is None:
+                            gauge.min = gauge.max = value
+                        elif value < gauge.min:
+                            gauge.min = value
+                listener = self.departure_listeners.get(packet.flow_id)
+                if batch and listener is not None:
                     sim.post(finish, listener)
+                start = finish
+            if traced:
+                self.tracer.link_idle(start)
+            if batch or not drain or not sim.advance_to(start):
+                # Event-driven tail: the listener, then the re-kick, so
+                # pending events at earlier instants interleave as ever.
+                if not batch and listener is not None:
+                    sim.post(start, listener)
                 self.kick()
                 return
-            now = finish
+            # The kick the event-driven tail would have emitted, then
+            # its listener, which runs while that kick is pending (so
+            # the arrivals it triggers must not kick again).
+            if traced:
+                self.tracer.kick(now, at=start)
+            if metered:
+                self._c_kicks.value += 1
+            now = start
             if listener is not None:
-                # The unbatched path runs the listener while the re-kick
-                # is still pending, so arrivals it triggers must not
-                # double-kick.
                 self._kick_pending = True
                 listener()
                 self._kick_pending = False
-
-    def _transmit_batch(self, packets: List[Packet], now: float) -> None:
-        # A retry timer armed for a now-stale eligibility instant must not
-        # survive a transmission: the batch itself re-kicks the loop, and
-        # a stale wakeup would double-kick the scheduler (observable as a
-        # spurious extra schedule() probe between batches).
-        if self._retry_handle is not None:
-            self._cancel_retry(now)
-        start = now
-        traced = self._traced
-        metered = self._metered
-        link_transmit = self.link.transmit
-        record = self.recorder.record
-        listeners = self.departure_listeners
-        sim_post = self.sim.post
-        release = self.release
-        departure_hook = self.departure_hook
-        for packet in packets:
-            finish = link_transmit(packet, start)
-            packet.departure_time = finish
-            record(start, packet.flow_id, packet.size_bytes,
-                   packet.packet_id)
-            if release is not None:
-                release(packet.flow_id, packet.size_bytes)
-            if departure_hook is not None:
-                departure_hook(packet)
-            if traced:
-                self.tracer.departure(start, packet.flow_id,
-                                      packet.size_bytes, packet.packet_id,
-                                      finish=finish,
-                                      arrival_t=packet.arrival_time)
-            if metered:
-                self._c_departures.value += 1
-                # Gauge.dec, inlined (see the Gauge invariant).
-                for gauge, amount in ((self._g_backlog_pkts, 1),
-                                      (self._g_backlog_bytes,
-                                       packet.size_bytes)):
-                    value = gauge.value = gauge.value - amount
-                    if gauge.min is None:
-                        gauge.min = gauge.max = value
-                    elif value < gauge.min:
-                        gauge.min = value
-            listener = listeners.get(packet.flow_id)
-            if listener is not None:
-                sim_post(finish, listener)
-            start = finish
-        if traced:
-            self.tracer.link_idle(start)
-        # Link idle again at the end of the batch: schedule the next try.
-        self.kick()
 
     def _cancel_retry(self, now: float) -> None:
         """Withdraw the armed retry timer (callers check it exists)."""

@@ -37,13 +37,6 @@ class Link:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._traced = self.tracer is not NULL_TRACER
 
-    def transmission_time(self, packet: Packet) -> float:
-        """Serialization delay of ``packet`` in seconds."""
-        return packet.size_bits / self.rate_bps
-
-    def is_idle(self, now: float) -> bool:
-        return now >= self.busy_until
-
     def transmit(self, packet: Packet, now: float) -> float:
         """Start transmitting ``packet`` at ``now``; returns finish time."""
         if now < self.busy_until:

@@ -4,8 +4,7 @@ import pytest
 
 from repro.analysis import (inversions, jains_index, kendall_tau_distance,
                             max_deviation, max_relative_error,
-                            mean_deviation, normalized_shares,
-                            positionwise_deviation, weighted_jains_index)
+                            mean_deviation, positionwise_deviation)
 
 
 def test_jains_index_perfectly_fair():
@@ -21,26 +20,12 @@ def test_jains_index_degenerate():
     assert jains_index([0, 0]) == 1.0
 
 
-def test_weighted_jains_index():
-    allocations = {"a": 1.0, "b": 2.0, "c": 3.0}
-    weights = {"a": 1.0, "b": 2.0, "c": 3.0}
-    assert weighted_jains_index(allocations, weights) == pytest.approx(1.0)
-    skewed = weighted_jains_index({"a": 3.0, "b": 2.0, "c": 1.0}, weights)
-    assert skewed < 1.0
-
-
 def test_max_relative_error():
     achieved = {"a": 0.95, "b": 2.2}
     target = {"a": 1.0, "b": 2.0}
     assert max_relative_error(achieved, target) == pytest.approx(0.1)
     assert max_relative_error({}, {"a": 1.0}) == 1.0
     assert max_relative_error({"a": 1.0}, {"a": 0.0}) == 0.0
-
-
-def test_normalized_shares():
-    shares = normalized_shares({"a": 1.0, "b": 3.0})
-    assert shares == {"a": 0.25, "b": 0.75}
-    assert normalized_shares({"a": 0.0}) == {"a": 0.0}
 
 
 def test_positionwise_deviation():

@@ -98,7 +98,7 @@ class TestStats:
         collector.note_residence("l0", 2e-6)
         collector.note_residence("l0", 4e-6)
         collector.note_residence("sp0", 1e-6)
-        mean = collector.mean_residence_us()
-        assert mean["l0"] == pytest.approx(3.0)
-        assert mean["sp0"] == pytest.approx(1.0)
+        assert collector.residence["l0"]["packets"] == 2
+        assert collector.residence["l0"]["total_s"] == pytest.approx(6e-6)
+        assert collector.residence["sp0"]["total_s"] == pytest.approx(1e-6)
         assert collector.residence["l0"]["max_s"] == pytest.approx(4e-6)

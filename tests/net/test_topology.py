@@ -1,10 +1,9 @@
-"""Topology container and the dumbbell/leaf-spine/fat-tree builders."""
+"""Topology container and the leaf-spine/fat-tree builders."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.topology import (Topology, dumbbell, fat_tree,
-                                leaf_spine)
+from repro.net.topology import Topology, fat_tree, leaf_spine
 from repro.sim.link import gbps
 
 
@@ -66,14 +65,6 @@ class TestTopology:
 
 
 class TestBuilders:
-    def test_dumbbell_shape(self):
-        topo = dumbbell(hosts_per_side=3)
-        assert len(topo.hosts) == 6
-        assert sorted(topo.switches) == ["s0", "s1"]
-        assert topo.link("s0", "s1").rate_bps > \
-            topo.link("h0", "s0").rate_bps
-        topo.validate()
-
     def test_leaf_spine_shape(self):
         topo = leaf_spine(leaves=3, spines=2, hosts_per_leaf=2)
         assert len(topo.hosts) == 6

@@ -267,18 +267,3 @@ def test_analysis_accepts_revived_non_finite_fields():
     ]
     (timeline,) = TraceAnalysis(events).timelines
     assert timeline.eligibility_wait == pytest.approx(0.5)
-
-
-def test_fairness_timeseries_reports_jains_index():
-    tracer = Tracer()
-    packet_id = 0
-    for t in (0.1, 0.2, 0.3, 0.4):
-        for flow_id in ("f0", "f1"):
-            packet_id += 1
-            tracer.arrival(t, flow_id, 1000, packet_id=packet_id)
-            tracer.departure(t, flow_id, 1000, packet_id=packet_id,
-                             finish=t + 0.01)
-    analysis = TraceAnalysis(tracer.events)
-    fairness = analysis.fairness_timeseries(0.25)
-    assert fairness and all(value == pytest.approx(1.0)
-                            for value in fairness)

@@ -107,8 +107,9 @@ def test_gauge_update_is_one_python_call(method):
 
 def test_metered_packet_path_enters_no_metrics_frame():
     """A traced and metered engine arrival (with its scheduler enqueue),
-    a scheduler dequeue and an engine departure update their counters
-    and gauges without entering :mod:`repro.obs.metrics`."""
+    and the scheduling loop's dequeue and departure, update their
+    counters, gauges and histograms without entering
+    :mod:`repro.obs.metrics`."""
     sim = Simulator()
     tracer = _streaming()
     metrics = MetricsRegistry()
@@ -128,8 +129,7 @@ def test_metered_packet_path_enters_no_metrics_frame():
     sys.setprofile(record)
     try:
         engine.arrival_sink("f0", Packet("f0", 1500))
-        packets = scheduler.schedule(0.0)
-        engine._transmit_batch(packets, 0.0)
+        sim.run_until(0.001)
     finally:
         sys.setprofile(None)
         gc.enable()
@@ -137,8 +137,9 @@ def test_metered_packet_path_enters_no_metrics_frame():
     assert os.path.realpath(metrics_module.__file__) not in files
     snapshot = metrics.to_dict()
     assert [snapshot["counters"][name] for name in (
-        "engine.arrivals", "engine.departures", "sched.enqueues",
-        "sched.dequeues")] == [1, 1, 1, 1]
+        "engine.arrivals", "engine.departures", "engine.kicks",
+        "sched.enqueues", "sched.dequeues")] == [1, 1, 2, 1, 1]
+    assert snapshot["histograms"]["engine.batch_size"]["count"] == 2
     assert snapshot["gauges"]["engine.backlog_bytes"] == {
         "value": 0.0, "min": 0.0, "max": 1500.0}
     assert snapshot["gauges"]["sched.queue_depth"] == {

@@ -4,18 +4,21 @@ One home for the simulation harnesses the suite kept re-growing in
 place: the flat backlogged-source rig (``FlatRun``, formerly
 ``tests/sched/helpers.py``), the mixed Poisson workload
 (``run_workload``, formerly private to the integration properties),
-and thin wrappers over :mod:`repro.conformance.scenarios` so
+the drain A/B pieces (``shared_clock_simulator``, ``Observers``), and
+thin wrappers over :mod:`repro.conformance.scenarios` so
 conformance-style workloads are available to any test without copying
 arrival-generation code.
 """
 
 from __future__ import annotations
 
+import io
 import random
 from typing import Dict, Optional
 
 from repro.conformance.runner import ConformanceRun, run_scenario
 from repro.conformance.scenarios import Scenario, make_scenario
+from repro.obs import MetricsRegistry, Tracer
 from repro.sched.framework import PieoScheduler
 from repro.sim.engine import TransmitEngine
 from repro.sim.events import Simulator
@@ -91,6 +94,37 @@ def run_workload(algorithm_factory, list_factory=None, duration=0.01,
                          end_time=duration * 0.8).start(0.0)
     sim.run_until(duration)
     return sim, scheduler, engine
+
+
+def shared_clock_simulator() -> Simulator:
+    """A simulator with one clock consumer already registered.
+
+    Every engine built on it shares the clock, so ``advance_to`` is
+    never asked and the engine takes the event-driven loop (kick,
+    listener and retry-timer events) throughout: the reference a
+    drained run must match."""
+    sim = Simulator()
+    sim.register_clock_consumer()
+    return sim
+
+
+class Observers:
+    """A streaming tracer and a metrics registry for one run."""
+
+    def __init__(self) -> None:
+        self.sink = io.StringIO()
+        self.tracer = Tracer(capacity=0, sink=self.sink)
+        self.metrics = MetricsRegistry()
+
+    def outputs(self):
+        """The JSONL trace text and the metrics snapshot, without the
+        ``engine.schedule_us`` histograms, which time the host."""
+        snapshot = self.metrics.to_dict()
+        snapshot["histograms"] = {
+            name: histogram
+            for name, histogram in snapshot["histograms"].items()
+            if not name.endswith("engine.schedule_us")}
+        return self.sink.getvalue(), snapshot
 
 
 def conformance_scenario(name: str, seed: int = 0,

@@ -17,6 +17,7 @@ from repro.sim import (BufferManager, Dataplane, FlowQueue,
                        gbps)
 from repro.sim.generators import BackloggedSource, CbrGenerator
 from repro.sim.packet import MTU_BYTES, reset_packet_ids
+from tests.scenarios import Observers, shared_clock_simulator
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +76,9 @@ def test_single_port_dataplane_conservation_without_buffer():
 # ----------------------------------------------------------------------
 # Multi-port routing and shared-buffer wiring
 # ----------------------------------------------------------------------
-def _two_port_dataplane(buffer=None, tracer=None, metrics=None):
-    sim = Simulator()
+def _two_port_dataplane(buffer=None, tracer=None, metrics=None,
+                        sim=None):
+    sim = Simulator() if sim is None else sim
     dataplane = Dataplane(
         sim, classifier=StaticClassifier({"a": "p0", "b": "p1"}),
         buffer=buffer, tracer=tracer, metrics=metrics)
@@ -232,13 +234,16 @@ def test_advance_to_allowed_with_single_engine():
 
 
 def test_two_engine_output_identical_drain_on_and_off():
-    """An unobserved run (drain enabled) and a metered one (drain off)
-    of the same two-port dataplane depart identically."""
-    def run(metrics):
+    """Two ports already share the clock, so neither engine drains: a
+    traced and metered run departs as an unobserved one does, and a
+    third clock consumer registered first changes nothing it traces or
+    meters."""
+    def run(sim, observers=None):
         reset_packet_ids()
-        sim, dataplane = _two_port_dataplane(metrics=metrics)
-        assert all(port.engine.drain_enabled is (metrics is None)
-                   for port in dataplane.ports.values())
+        tracer, metrics = ((None, None) if observers is None
+                           else (observers.tracer, observers.metrics))
+        sim, dataplane = _two_port_dataplane(tracer=tracer,
+                                             metrics=metrics, sim=sim)
         for flow_id in ("a", "b"):
             CbrGenerator(sim, flow_id, dataplane.arrival_sink,
                          rate_bps=gbps(8), end_time=0.001).start(0.0)
@@ -246,7 +251,11 @@ def test_two_engine_output_identical_drain_on_and_off():
         return [port.recorder.departures
                 for port in dataplane.ports.values()]
 
-    assert run(metrics=None) == run(metrics=MetricsRegistry())
+    plain = run(Simulator())
+    observed, reference = Observers(), Observers()
+    assert run(Simulator(), observed) == plain
+    assert run(shared_clock_simulator(), reference) == plain
+    assert observed.outputs() == reference.outputs()
 
 
 def test_second_clock_consumer_sets_clock_shared():
@@ -259,36 +268,45 @@ def test_second_clock_consumer_sets_clock_shared():
     assert _two_port_dataplane()[0].clock_shared
 
 
-def test_two_engines_on_shared_clock_never_enter_drain(monkeypatch):
-    def refuse(self, now):
-        raise AssertionError("drain entered on a shared clock")
+def test_two_engines_on_shared_clock_never_enter_drain():
+    """Every advance would be refused on a shared clock, so neither
+    engine asks, observed or not."""
+    def refuse(time):
+        raise AssertionError("advance_to asked on a shared clock")
 
-    monkeypatch.setattr(TransmitEngine, "_drain", refuse)
-    reset_packet_ids()
-    sim, dataplane = _two_port_dataplane()
-    for flow_id in ("a", "b"):
-        CbrGenerator(sim, flow_id, dataplane.arrival_sink,
-                     rate_bps=gbps(8), end_time=0.001).start(0.0)
-    sim.run_until(0.001)
-    assert dataplane.departures() > 0
+    for observers in (None, Observers()):
+        reset_packet_ids()
+        tracer, metrics = ((None, None) if observers is None
+                           else (observers.tracer, observers.metrics))
+        sim, dataplane = _two_port_dataplane(tracer=tracer,
+                                             metrics=metrics)
+        sim.advance_to = refuse
+        for flow_id in ("a", "b"):
+            CbrGenerator(sim, flow_id, dataplane.arrival_sink,
+                         rate_bps=gbps(8), end_time=0.001).start(0.0)
+        sim.run_until(0.001)
+        assert dataplane.departures() > 0
 
 
 def test_single_engine_drain_refused_tail_matches_event_loop():
     """A backlogged engine plus an unrelated ticker event every 5 us:
-    the unobserved run's drain both advances and, whenever the ticker
-    falls inside a transmission, hands over to its event-driven tail.
-    Its departures, and what the ticker sees of them, equal those of a
-    metered run, which takes the event-driven loop throughout."""
-    def run(metrics):
+    the drain both advances and, whenever the ticker falls inside a
+    transmission, hands over to its event-driven tail.  Its departures,
+    what the ticker sees of them, its trace and its metrics equal those
+    of a run on a shared clock, which takes the event-driven loop
+    throughout."""
+    def run(sim):
         reset_packet_ids()
-        sim = Simulator()
+        observers = Observers()
+        tracer, metrics = observers.tracer, observers.metrics
         scheduler = PieoScheduler(DeficitRoundRobin(),
-                                  link_rate_bps=gbps(10))
+                                  link_rate_bps=gbps(10), tracer=tracer,
+                                  metrics=metrics)
         for flow_id in ("a", "b"):
             scheduler.add_flow(FlowQueue(flow_id))
-        engine = TransmitEngine(sim, scheduler, Link(gbps(10)),
-                                metrics=metrics)
-        assert engine.drain_enabled == (metrics is None)
+        engine = TransmitEngine(sim, scheduler,
+                                Link(gbps(10), tracer=tracer),
+                                tracer=tracer, metrics=metrics)
         for index in range(60):
             engine.arrival_sink("a", Packet("a"))
             engine.arrival_sink("b", Packet("b", size_bytes=700))
@@ -310,15 +328,17 @@ def test_single_engine_drain_refused_tail_matches_event_loop():
 
         sim.advance_to = counted
         sim.run_until(0.001)
-        return engine.recorder.departures, seen, outcomes
+        return (engine.recorder.departures, seen, outcomes,
+                observers.outputs())
 
-    drained, drained_seen, outcomes = run(metrics=None)
+    drained, drained_seen, outcomes, drained_outputs = run(Simulator())
     assert True in outcomes and False in outcomes
-    reference, reference_seen, no_advances = run(
-        metrics=MetricsRegistry())
+    reference, reference_seen, no_advances, reference_outputs = run(
+        shared_clock_simulator())
     assert no_advances == []
     assert drained == reference
     assert drained_seen == reference_seen
+    assert drained_outputs == reference_outputs
     assert len(reference) == 120
 
 
@@ -330,10 +350,12 @@ def _backlog(sim, engine, flow_id):
 
 def _flat_tb(rates_mbps, burst):
     """One flat Token Bucket port, one backlogged flow per rate."""
-    def build(sim, link, metrics):
+    def build(sim, link, tracer, metrics):
         scheduler = PieoScheduler(TokenBucket(default_burst_bytes=burst),
-                                  link_rate_bps=link.rate_bps)
-        engine = TransmitEngine(sim, scheduler, link, metrics=metrics)
+                                  link_rate_bps=link.rate_bps,
+                                  tracer=tracer, metrics=metrics)
+        engine = TransmitEngine(sim, scheduler, link, tracer=tracer,
+                                metrics=metrics)
         for index, rate in enumerate(rates_mbps):
             scheduler.add_flow(FlowQueue(f"f{index}", rate_bps=rate * 1e6))
             _backlog(sim, engine, f"f{index}")
@@ -344,31 +366,34 @@ def _flat_tb(rates_mbps, burst):
 def _tb_over_wf2q(rates_mbps, burst, flows_per_node):
     """The Section 6.3 shape: Token Bucket node limits at the root, WF2Q+
     among each node's backlogged flows."""
-    def build(sim, link, metrics):
+    def build(sim, link, tracer, metrics):
         root, leaves = two_level_tree(
             TokenBucket(default_burst_bytes=burst),
             [WF2Qplus() for _ in rates_mbps], flows_per_node,
             node_rate_bps=[rate * 1e6 for rate in rates_mbps])
-        scheduler = HierarchicalScheduler(root, link_rate_bps=link.rate_bps)
-        engine = TransmitEngine(sim, scheduler, link, metrics=metrics)
+        scheduler = HierarchicalScheduler(root, link_rate_bps=link.rate_bps,
+                                          tracer=tracer, metrics=metrics)
+        engine = TransmitEngine(sim, scheduler, link, tracer=tracer,
+                                metrics=metrics)
         for leaf in leaves:
             _backlog(sim, engine, leaf.flow_id)
         return engine
     return build
 
 
-def _run_against_ticker(build, period_ns, phase_ns, metrics=None,
+def _run_against_ticker(build, period_ns, phase_ns, sim,
                         duration=300e-6):
-    """Run ``build``'s engine on a 10 Gbps link beside a ticker event
-    every ``period_ns`` from ``phase_ns`` that records how many packets
-    have departed.  Returns the departures, the ticker's view, and the
-    outcome of each ``advance_to`` that crosses an idle gap (a target
-    past the link's busy time, which a finish instant never is)."""
+    """Run ``build``'s traced and metered engine on ``sim`` and a
+    10 Gbps link beside a ticker event every ``period_ns`` from
+    ``phase_ns`` that records how many packets have departed.  Returns
+    the departures, the ticker's view, the outcome of each
+    ``advance_to`` that crosses an idle gap (a target past the link's
+    busy time, which a finish instant never is), and the trace and
+    metrics outputs."""
     reset_packet_ids()
-    sim = Simulator()
-    link = Link(gbps(10))
-    engine = build(sim, link, metrics)
-    assert engine.drain_enabled == (metrics is None)
+    observers = Observers()
+    link = Link(gbps(10), tracer=observers.tracer)
+    engine = build(sim, link, observers.tracer, observers.metrics)
     period, seen = period_ns * 1e-9, []
 
     def tick():
@@ -389,20 +414,23 @@ def _run_against_ticker(build, period_ns, phase_ns, metrics=None,
 
     sim.advance_to = counted
     sim.run_until(duration, max_events=100_000)
-    return engine.recorder.departures, seen, idle
+    return engine.recorder.departures, seen, idle, observers.outputs()
 
 
 def _assert_drain_matches_event_loop(build, period_ns, phase_ns):
-    """The unobserved (drained) run equals a metered run, which takes
-    the event-driven loop and its retry timer throughout; returns the
-    drained run's idle-gap advance outcomes."""
-    drained, drained_seen, idle = _run_against_ticker(
-        build, period_ns, phase_ns)
-    reference, reference_seen, no_advances = _run_against_ticker(
-        build, period_ns, phase_ns, metrics=MetricsRegistry())
+    """The drained run equals a run on a shared clock, which takes the
+    event-driven loop and its retry timer throughout, in departures,
+    trace and metrics; returns the drained run's idle-gap advance
+    outcomes."""
+    drained, drained_seen, idle, drained_outputs = _run_against_ticker(
+        build, period_ns, phase_ns, Simulator())
+    reference, reference_seen, no_advances, reference_outputs = (
+        _run_against_ticker(build, period_ns, phase_ns,
+                            shared_clock_simulator()))
     assert no_advances == []
     assert drained == reference
     assert drained_seen == reference_seen
+    assert drained_outputs == reference_outputs
     assert reference
     return idle
 
@@ -455,9 +483,9 @@ class _HoldingScheduler:
 
 
 def test_drain_waits_for_an_arrival_when_eligible_now_sends_nothing():
-    def build(sim, link, metrics):
+    def build(sim, link, tracer, metrics):
         engine = TransmitEngine(sim, _HoldingScheduler(), link,
-                                metrics=metrics)
+                                tracer=tracer, metrics=metrics)
         CbrGenerator(sim, "a", engine.arrival_sink,
                      rate_bps=gbps(3)).start(0.0)
         return engine

@@ -4,11 +4,12 @@ engine-compatible scheduler) and a shaping scheduler for retry timers."""
 import pytest
 
 from repro.baselines.fifo import FifoScheduler
-from repro.obs import MetricsRegistry
+from repro.experiments import hier_common
 from repro.sched import PieoScheduler, TokenBucket
 from repro.sim import (FlowQueue, Link, Packet, Simulator, TransmitEngine,
                        gbps)
 from repro.sim.packet import reset_packet_ids
+from tests.scenarios import Observers, shared_clock_simulator
 
 
 def test_engine_serializes_packets_on_link():
@@ -42,28 +43,30 @@ def test_engine_stays_quiet_with_no_arrivals():
     assert sim.events_fired == 0
 
 
-def _shaped_pair(metrics=None):
+def _shaped_pair(sim, observers):
     """A lone token-bucket flow holding two packets: the first rides
     the initial burst allowance, the second must wait a full token
-    refill (1 Mbps -> 12 ms per MTU)."""
+    refill (1 Mbps -> 12 ms per MTU).  Traced and metered."""
     reset_packet_ids()
-    sim = Simulator()
-    link = Link(gbps(10))
+    link = Link(gbps(10), tracer=observers.tracer)
     scheduler = PieoScheduler(TokenBucket(default_burst_bytes=1500),
-                              link_rate_bps=link.rate_bps)
+                              link_rate_bps=link.rate_bps,
+                              tracer=observers.tracer,
+                              metrics=observers.metrics)
     scheduler.add_flow(FlowQueue("f", rate_bps=1e6))
-    engine = TransmitEngine(sim, scheduler, link, metrics=metrics)
+    engine = TransmitEngine(sim, scheduler, link, tracer=observers.tracer,
+                            metrics=observers.metrics)
     engine.arrival_sink("f", Packet("f"))
     engine.arrival_sink("f", Packet("f"))
-    return sim, engine
+    return engine
 
 
 def test_engine_arms_retry_for_shaped_traffic():
     """Non-work-conserving path: a lone ineligible flow must be retried
-    at its send time, not spin.  Metering keeps the engine on its
+    at its send time, not spin.  A shared clock keeps the engine on its
     event-driven loop, where the wait is a retry timer."""
-    sim, engine = _shaped_pair(metrics=MetricsRegistry())
-    assert not engine.drain_enabled
+    sim = shared_clock_simulator()
+    engine = _shaped_pair(sim, Observers())
     sim.run_until(0.1)
     departures = engine.recorder.departures
     assert len(departures) == 2
@@ -75,11 +78,13 @@ def test_engine_arms_retry_for_shaped_traffic():
 
 
 def test_drain_crosses_the_shaping_gap_without_a_timer():
-    """The unobserved twin of the test above: the drain advances the
-    clock to the send time itself, so no retry timer is scheduled and
-    the same two departures happen."""
-    sim, engine = _shaped_pair()
-    assert engine.drain_enabled
+    """The drained twin of the test above: the engine advances the
+    clock to the send time itself, so no retry timer is scheduled, yet
+    the same two departures happen and the trace and metrics still
+    show the timer's arm, fire and kick."""
+    sim = Simulator()
+    observers = Observers()
+    engine = _shaped_pair(sim, observers)
     scheduled = []
     schedule = sim.schedule
 
@@ -89,12 +94,38 @@ def test_drain_crosses_the_shaping_gap_without_a_timer():
 
     sim.schedule = counted
     sim.run_until(0.1)
-    reference, metered = _shaped_pair(metrics=MetricsRegistry())
-    reference.run_until(0.1)
-    assert engine.recorder.departures == metered.recorder.departures
+    reference_sim = shared_clock_simulator()
+    reference_observers = Observers()
+    reference = _shaped_pair(reference_sim, reference_observers)
+    reference_sim.run_until(0.1)
+    assert engine.recorder.departures == reference.recorder.departures
     assert len(engine.recorder.departures) == 2
+    assert observers.outputs() == reference_observers.outputs()
+    assert engine.metrics.counter("engine.retry_arms").value == 1
     assert scheduled == []
-    assert sim.events_fired < 25
+    assert sim.events_fired < reference_sim.events_fired < 25
+
+
+def test_observed_hierarchy_drains_as_the_event_loop_runs(monkeypatch):
+    """A traced and metered Section 6.3 run is byte-identical drained
+    and on a shared clock, in departures, trace text and metrics, and
+    the drain fires about half the events."""
+    def run():
+        reset_packet_ids(0)
+        observers = Observers()
+        result = hier_common.run_hierarchy(
+            hier_common.default_node_rates(), duration=0.002,
+            tracer=observers.tracer, metrics=observers.metrics)
+        return (result.engine.recorder.departures, observers.outputs(),
+                result.sim.events_fired)
+
+    drained, drained_outputs, drained_fired = run()
+    monkeypatch.setattr(hier_common, "Simulator", shared_clock_simulator)
+    reference, reference_outputs, reference_fired = run()
+    assert len(drained) > 4000
+    assert drained == reference
+    assert drained_outputs == reference_outputs
+    assert drained_fired < 0.55 * reference_fired
 
 
 def test_departure_listener_fires_at_finish_time():
@@ -137,7 +168,9 @@ def test_transmit_batch_cancels_armed_retry():
     engine = TransmitEngine(sim, FifoScheduler(), Link(gbps(1)))
     stale = sim.schedule(0.5, engine.kick)
     engine._retry_handle = stale
-    engine._transmit_batch([Packet("f")], sim.now)
+    engine.arrival_sink("f", Packet("f"))  # kicks the loop at t=0
+    sim.run_until(0.1)
+    assert len(engine.recorder) == 1
     assert stale.cancelled
     assert engine._retry_handle is None
 

@@ -7,19 +7,12 @@ from repro.sim.link import Link, gbps
 from repro.sim.packet import Packet
 
 
-def test_transmission_time():
-    link = Link(gbps(10))
-    packet = Packet("f", size_bytes=1250)  # 10 000 bits
-    assert link.transmission_time(packet) == pytest.approx(1e-6)
-
-
 def test_transmit_occupies_link():
     link = Link(gbps(1))
     packet = Packet("f", size_bytes=125)  # 1000 bits -> 1 us
     finish = link.transmit(packet, now=0.0)
     assert finish == pytest.approx(1e-6)
-    assert not link.is_idle(0.5e-6)
-    assert link.is_idle(1e-6)
+    assert link.busy_until == finish
 
 
 def test_transmit_while_busy_raises():
