@@ -29,8 +29,6 @@ _EXPORTS = {
                             "make_factory", "make_list",
                             "register_backend", "unregister_backend"),
     "repro.core.element": ("ALWAYS_ELIGIBLE", "NEVER_ELIGIBLE", "Element"),
-    "repro.core.instrumentation": ("Instrumentation", "NullInstrumentation",
-                                   "NULL_INSTRUMENTATION"),
     "repro.core.interfaces": ("OrderedList", "PieoList"),
     "repro.core.opstats": ("OpCounters",),
     "repro.core.pieo.hardware_list": ("PieoHardwareList",),

@@ -10,9 +10,6 @@ _EXPORTS = {
                             "register_backend", "unregister_backend"),
     "repro.core.element": ("ALWAYS_ELIGIBLE", "NEVER_ELIGIBLE", "Element",
                            "Rank", "Time"),
-    "repro.core.instrumentation": ("NULL_INSTRUMENTATION",
-                                   "Instrumentation",
-                                   "NullInstrumentation"),
     "repro.core.interfaces": ("OrderedList", "PieoList"),
     "repro.core.opstats": ("OpCounters",),
     "repro.core.pieo.hardware_list": ("CYCLES_PER_OP", "PieoHardwareList"),

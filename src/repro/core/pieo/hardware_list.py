@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.element import Element, Time
-from repro.core.instrumentation import Instrumentation
 from repro.core.interfaces import PieoList
 from repro.core.opstats import OpCounters
 from repro.core.pieo.structures import OrderedSublistArray, Sublist
@@ -81,17 +80,14 @@ class PieoHardwareList(PieoList):
     self_check:
         When true, run the full invariant checker after every primitive
         operation.  Slow; used by the test suite.
-    instrumentation:
-        Where cycle/SRAM/comparator work is charged.  Defaults to a fresh
-        :class:`~repro.core.opstats.OpCounters` (cycle-exact accounting);
-        pass :data:`~repro.core.instrumentation.NULL_INSTRUMENTATION` to
-        run the model without accounting.  Exposed as ``counters``.
+
+    Cycle/SRAM/comparator work is charged to the model's own
+    :class:`~repro.core.opstats.OpCounters`, exposed as ``counters``.
     """
 
     def __init__(self, capacity: int,
                  sublist_size: Optional[int] = None,
-                 self_check: bool = False,
-                 instrumentation: Optional[Instrumentation] = None) -> None:
+                 self_check: bool = False) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
@@ -104,8 +100,7 @@ class PieoHardwareList(PieoList):
             Sublist(i, self.sublist_size) for i in range(self.num_sublists)
         ]
         self.pointer_array = OrderedSublistArray(self.num_sublists)
-        self.counters: Instrumentation = (
-            OpCounters() if instrumentation is None else instrumentation)
+        self.counters = OpCounters()
         self.last_trace: Optional[OpTrace] = None
         self._flow_sublist: Dict[Hashable, int] = {}
         self._count = 0

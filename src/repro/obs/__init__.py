@@ -1,8 +1,7 @@
 """Observability layer: tracing + metrics across sim/sched/core.
 
 Zero-dependency event tracing (:mod:`repro.obs.trace`), aggregate
-metrics (:mod:`repro.obs.metrics`), span scopes and the null default
-path (:mod:`repro.obs.scope`), the sweep heartbeat
+metrics (:mod:`repro.obs.metrics`), the sweep heartbeat
 (:mod:`repro.obs.heartbeat`), offline trace analysis with per-packet
 latency attribution (:mod:`repro.obs.analyze`), and Prometheus/Perfetto
 exporters (:mod:`repro.obs.export`); ``python -m repro.obs`` is the
@@ -21,15 +20,16 @@ Typical wiring::
     ...
     tracer.write_jsonl("run.jsonl"); metrics.write_json("run.json")
 
-Every instrumented component defaults to the shared null observers, so
-the untraced path stays allocation-free.
+Every instrumented component defaults to ``tracer=None, metrics=None``:
+an unobserved component creates no instruments and skips every
+observer call.
 """
 
 from repro._lazy import lazy_namespace
 
 _EXPORTS = {
     "repro.obs.analyze": ("FlowReport", "PacketTimeline", "Run",
-                          "TraceAnalysis", "analyze_path", "split_runs"),
+                          "TraceAnalysis", "split_runs"),
     "repro.obs.export": ("flow_report_json", "perfetto_trace",
                          "prometheus_from_snapshot", "prometheus_text",
                          "write_perfetto", "write_prometheus"),
@@ -39,8 +39,6 @@ _EXPORTS = {
                           "Gauge", "Histogram", "LATENCY_BUCKETS_US",
                           "LogHistogram", "MetricsRegistry",
                           "ScopedMetrics", "scoped"),
-    "repro.obs.scope": ("NULL_METRICS", "NULL_SPAN", "NULL_TRACER",
-                        "NullMetrics", "NullSpan", "NullTracer", "Span"),
     "repro.obs.trace": ("EVENT_KINDS", "LabelledTracer", "TraceEvent",
                         "Tracer", "labelled", "read_jsonl"),
 }

@@ -881,12 +881,3 @@ class TraceAnalysis:
                 "still serializing the previous packet"))
         return issues
 
-
-def analyze_path(path, parent_of: Callable[[Hashable],
-                                           Optional[Hashable]]
-                 = default_parent_of) -> List[Tuple[Run, TraceAnalysis]]:
-    """Read a JSONL trace file and analyze every mark-delimited run."""
-    from repro.obs.trace import read_jsonl
-    runs = split_runs(read_jsonl(path))
-    return [(run, TraceAnalysis(run.events, parent_of=parent_of))
-            for run in runs]

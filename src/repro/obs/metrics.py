@@ -17,9 +17,8 @@ updated on the hot path with O(1) work:
   quantize too coarsely.
 
 ``snapshot()`` / ``to_dict()`` return plain dicts; :meth:`write_json`
-persists them.  The default (unobserved) path uses
-:class:`repro.obs.scope.NullMetrics` instead, which hands out shared
-no-op instruments.
+persists them.  An unobserved component is given ``metrics=None`` and
+creates no instruments at all.
 """
 
 from __future__ import annotations
@@ -388,9 +387,9 @@ class ScopedMetrics:
     series per port, no export changes needed).  Scopes nest:
     ``ScopedMetrics(scoped, "inner")`` prepends outer-first.
 
-    This is a *view* over the shared registry — never wrap the null
-    registry; use :func:`scoped` which returns null/None unchanged so
-    the ``metrics is NULL_METRICS`` fast paths stay intact.
+    This is a *view* over the shared registry.  Build views with
+    :func:`scoped`, which returns a ``None`` registry unchanged, so "not
+    metered" stays ``None`` all the way down.
     """
 
     __slots__ = ("base", "prefix")
@@ -434,10 +433,9 @@ class ScopedMetrics:
 def scoped(metrics, prefix: str):
     """A view of ``metrics`` prefixing instrument names with ``prefix``.
 
-    Returns ``metrics`` unchanged when it is ``None`` or the shared null
-    registry, preserving the identity-checked fast paths downstream.
+    Returns ``None`` unchanged, so an unmetered component still sees
+    ``None``.
     """
-    from repro.obs.scope import NULL_METRICS
-    if metrics is None or metrics is NULL_METRICS:
-        return metrics
+    if metrics is None:
+        return None
     return ScopedMetrics(metrics, prefix)

@@ -9,8 +9,9 @@ bounded ring buffer) or stream them to a JSONL sink as they happen.
 
 The event vocabulary is fixed (:data:`EVENT_KINDS`); each event is one
 ``kind`` plus a small dict of fields, stamped with the *simulated* time
-it describes.  Wall-clock latencies enter the stream only through
-``span`` events (see :class:`repro.obs.scope.Span`).
+it describes.  The ``span`` kind (a wall-clock latency, fields
+``name`` and ``wall_us``) has no typed emitter; it is kept so trace
+files that carry it still load and analyze.
 
 Analysis code consumes events in-process (:meth:`Tracer.events_of`) or
 offline from the JSONL export, one JSON object per line::
@@ -27,8 +28,6 @@ from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import (Dict, Hashable, IO, Iterable, Iterator, List,
                     Optional, Sequence, Union)
-
-from repro.obs.scope import NULL_TRACER, Span
 
 #: The closed vocabulary of trace event kinds.
 EVENT_KINDS = (
@@ -216,11 +215,6 @@ class _TypedEmitters:
         """
         self._record(time, kind, fields)
 
-    def span(self, name: str, sim_time: float = 0.0) -> Span:
-        """``with tracer.span("schedule"):`` — wall-clock a region and
-        emit its latency as a ``span`` event."""
-        return Span(self, name, sim_time)
-
 
 class Tracer(_TypedEmitters):
     """Collects and/or streams :class:`TraceEvent` records.
@@ -257,7 +251,6 @@ class Tracer(_TypedEmitters):
         self.dropped = 0
         #: Emission count per event kind.
         self.counts: Dict[str, int] = {}
-        self.enabled = True
         #: JSON texts of streamed ``float``/``str`` values, and the
         #: ``,"name":`` texts of field names (see :meth:`_record`).
         self._texts: Dict[object, str] = {}
@@ -305,8 +298,6 @@ class Tracer(_TypedEmitters):
         :func:`_record_json`, inlined here).  Either way the line is
         byte for byte what ``json.dumps`` gives.
         """
-        if not self.enabled:
-            return
         counts = self.counts
         count = counts.get(kind)
         if count is None:
@@ -457,9 +448,9 @@ class LabelledTracer(_TypedEmitters):
     over labels on collision; labelled views nest (inner labels win).
 
     This is a *view*: storage, retention, counts, and the JSONL sink all
-    live on the base tracer.  Never wrap the null tracer — use
-    :func:`labelled` which returns null/None bases unchanged, keeping
-    the ``tracer is NULL_TRACER`` fast-path identity checks meaningful.
+    live on the base tracer.  Build views with :func:`labelled`, which
+    returns a ``None`` tracer unchanged, so "not traced" stays ``None``
+    all the way down.
     """
 
     __slots__ = ("base", "labels", "_root", "_stamp")
@@ -488,10 +479,6 @@ class LabelledTracer(_TypedEmitters):
         stamped.update(fields)
         self._root._record(time, kind, stamped)
 
-    @property
-    def enabled(self) -> bool:
-        return self.base.enabled
-
     def __getattr__(self, name):
         # Everything that is not emission (events, counts, close, ...)
         # belongs to the base tracer.
@@ -501,14 +488,13 @@ class LabelledTracer(_TypedEmitters):
 def labelled(tracer, **labels):
     """A view of ``tracer`` stamping ``labels`` on every event.
 
-    Returns ``tracer`` unchanged when it is ``None``, the shared null
-    tracer, or no labels were given — so call sites can label
-    unconditionally without defeating the identity-checked
-    ``is NULL_TRACER`` fast paths downstream.  Reserved label names
+    Returns ``tracer`` unchanged when it is ``None`` or no labels were
+    given, so call sites can label unconditionally and an untraced
+    component still sees ``None``.  Reserved label names
     (:data:`_RESERVED_FIELDS`) raise :class:`ValueError` either way.
     """
     _check_labels(labels)
-    if tracer is None or tracer is NULL_TRACER or not labels:
+    if tracer is None or not labels:
         return tracer
     return LabelledTracer(tracer, **labels)
 

@@ -39,7 +39,6 @@ from repro.core.element import ALWAYS_ELIGIBLE, Element, Rank, Time
 from repro.core.interfaces import PieoList
 from repro.errors import (ConfigurationError, SimulationError,
                           UnknownFlowError)
-from repro.obs.scope import NULL_COUNTER, NULL_METRICS, NULL_TRACER
 from repro.sched.base import SchedulingAlgorithm, TimeBase, TriggerModel
 from repro.sim.flow import FlowQueue
 from repro.sim.packet import Packet
@@ -245,8 +244,8 @@ class PieoScheduler:
         Observability hooks (:mod:`repro.obs`): typed ``enqueue`` /
         ``dequeue`` events per ordered-list transition, plus the
         ``sched.queue_depth`` gauge (elements resident in this
-        scheduler's ordered list).  Default to the shared null
-        observers.
+        scheduler's ordered list).  ``None`` (the default) means not
+        observed.
     """
 
     def __init__(self, algorithm: SchedulingAlgorithm,
@@ -281,8 +280,8 @@ class PieoScheduler:
             self._group_range = None
         self.trigger = trigger
         self.link_rate_bps = link_rate_bps
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.tracer = tracer
+        self.metrics = metrics
         #: True when the algorithm keeps the stock eligibility_time, so
         #: the dequeue loop can read the threshold directly instead of
         #: calling through the context per decision.
@@ -293,16 +292,16 @@ class PieoScheduler:
         self._virtual = algorithm.time_base is TimeBase.VIRTUAL
         #: True when a send time is a wall-clock instant.
         self._wall = algorithm.time_base is TimeBase.WALL
-        self._g_depth = self.metrics.gauge("sched.queue_depth")
-        self._c_enqueues = self.metrics.counter("sched.enqueues")
-        self._c_dequeues = self.metrics.counter("sched.dequeues")
         #: Who observes this scheduler: the tracer gets ``enqueue`` /
-        #: ``dequeue`` events and the residency bookkeeping below, live
-        #: instruments (any null registry hands out the shared null
-        #: ones) are updated by direct attribute writes.  A quiet
+        #: ``dequeue`` events and the residency bookkeeping below, the
+        #: instruments are updated by direct attribute writes.  A quiet
         #: scheduler skips all of it.
-        self._traced = self.tracer is not NULL_TRACER
-        self._metered = self._c_enqueues is not NULL_COUNTER
+        self._traced = tracer is not None
+        self._metered = metrics is not None
+        if self._metered:
+            self._g_depth = metrics.gauge("sched.queue_depth")
+            self._c_enqueues = metrics.counter("sched.enqueues")
+            self._c_dequeues = metrics.counter("sched.dequeues")
         self._quiet = not self._traced and not self._metered
         self.flows: Dict[Hashable, FlowQueue] = {}
         #: Residency bookkeeping for eligibility attribution on traced

@@ -32,7 +32,6 @@ import random
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.scope import NULL_METRICS, NULL_TRACER
 from repro.sim.flow import FlowQueue
 from repro.sim.packet import Packet
 
@@ -314,10 +313,10 @@ class BufferManager:
         elif isinstance(policy, str):
             policy = make_drop_policy(policy)
         self.policy = policy
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._traced = self.tracer is not NULL_TRACER
-        self._metered = self.metrics is not NULL_METRICS
+        self.tracer = tracer
+        self.metrics = metrics
+        self._traced = tracer is not None
+        self._metered = metrics is not None
         # Occupancy.
         self.total_bytes = 0
         self.total_pkts = 0
@@ -336,11 +335,11 @@ class BufferManager:
         # events are stamped with sim time.
         self._now: Callable[[], float] = lambda: 0.0
         if self._metered:
-            self._c_admitted = self.metrics.counter("buffer.admitted")
-            self._c_dropped = self.metrics.counter("buffer.dropped")
-            self._c_evicted = self.metrics.counter("buffer.evicted")
-            self._g_bytes = self.metrics.gauge("buffer.occupancy_bytes")
-            self._g_pkts = self.metrics.gauge("buffer.occupancy_pkts")
+            self._c_admitted = metrics.counter("buffer.admitted")
+            self._c_dropped = metrics.counter("buffer.dropped")
+            self._c_evicted = metrics.counter("buffer.evicted")
+            self._g_bytes = metrics.gauge("buffer.occupancy_bytes")
+            self._g_pkts = metrics.gauge("buffer.occupancy_pkts")
 
     # -- wiring --------------------------------------------------------
     def attach_port(self, port_id: Hashable,

@@ -49,7 +49,6 @@ from bisect import bisect_left
 from typing import Callable, Dict, Hashable, Optional
 
 from repro.obs.metrics import BATCH_BUCKETS, LATENCY_BUCKETS_US
-from repro.obs.scope import NULL_COUNTER, NULL_METRICS, NULL_TRACER
 from repro.sim.events import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import Packet
@@ -103,9 +102,10 @@ class TransmitEngine:
         # serializes engines correctly through the shared queue.
         sim.register_clock_consumer()
         self.recorder = recorder if recorder is not None else Recorder()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._traced = self.tracer is not NULL_TRACER
+        self.tracer = tracer
+        self.metrics = metrics
+        self._traced = tracer is not None
+        self._metered = metrics is not None
         #: Per-flow departure callbacks (e.g. BackloggedSource refills).
         self.departure_listeners: Dict[Hashable,
                                        Callable[[], None]] = {}
@@ -113,20 +113,17 @@ class TransmitEngine:
         self._retry_timer_id = None
         self._retry_ids = itertools.count()
         self._kick_pending = False
-        # Metrics instruments (no-ops on the default null registry).
-        self._c_arrivals = self.metrics.counter("engine.arrivals")
-        self._c_departures = self.metrics.counter("engine.departures")
-        self._c_kicks = self.metrics.counter("engine.kicks")
-        self._c_retry_arms = self.metrics.counter("engine.retry_arms")
-        self._g_backlog_pkts = self.metrics.gauge("engine.backlog_pkts")
-        self._g_backlog_bytes = self.metrics.gauge("engine.backlog_bytes")
-        self._h_batch = self.metrics.histogram("engine.batch_size",
-                                               BATCH_BUCKETS)
-        self._h_schedule_us = self.metrics.histogram(
-            "engine.schedule_us", LATENCY_BUCKETS_US)
-        #: True when the registry hands out live instruments (any null
-        #: registry hands out the shared null ones).
-        self._metered = self._c_arrivals is not NULL_COUNTER
+        if self._metered:
+            self._c_arrivals = metrics.counter("engine.arrivals")
+            self._c_departures = metrics.counter("engine.departures")
+            self._c_kicks = metrics.counter("engine.kicks")
+            self._c_retry_arms = metrics.counter("engine.retry_arms")
+            self._g_backlog_pkts = metrics.gauge("engine.backlog_pkts")
+            self._g_backlog_bytes = metrics.gauge("engine.backlog_bytes")
+            self._h_batch = metrics.histogram("engine.batch_size",
+                                              BATCH_BUCKETS)
+            self._h_schedule_us = metrics.histogram(
+                "engine.schedule_us", LATENCY_BUCKETS_US)
 
     # ------------------------------------------------------------------
     # Inputs

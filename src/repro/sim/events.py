@@ -3,8 +3,8 @@
 Time is a float (seconds).  Events scheduled for the same instant fire in
 scheduling order, which keeps runs fully deterministic.
 
-Pending events live in one :class:`HeapEventQueue`, a ``heapq`` binary
-heap of :data:`EventEntry` tuples ``(time, seq, callback, handle)``, so
+Pending events live in the simulator's ``heapq`` binary heap of
+:data:`EventEntry` tuples ``(time, seq, callback, handle)``, so
 same-instant events pop in scheduling order (``seq`` is unique, so the
 comparison never reaches the callback).  There are two ways in:
 
@@ -19,7 +19,7 @@ the order they were armed, whichever entry point armed them.
 
 Cancellation is lazy: :meth:`EventHandle.cancel` marks the handle and
 the entry is discarded when it surfaces.  To keep the resident set
-bounded under heavy cancel churn (retry timers), the queue compacts —
+bounded under heavy cancel churn (retry timers), the heap compacts —
 i.e. rebuilds without dead entries, in place — once more than half its
 resident entries are cancelled (with a small absolute floor so tiny
 queues never bother).
@@ -73,81 +73,7 @@ class EventHandle:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        self.sim._queue.note_cancel()
-
-
-# ----------------------------------------------------------------------
-# Pending-event queue
-# ----------------------------------------------------------------------
-class HeapEventQueue:
-    """Pending events in one ``heapq`` binary heap.
-
-    Entries are :data:`EventEntry` tuples, so they pop in ``(time,
-    seq)`` order and same-instant events fire in scheduling order.
-    Cancellation is lazy: the simulator calls :meth:`note_cancel` when a
-    resident entry's handle is cancelled, and the queue discards dead
-    entries when they surface or during :meth:`compact`.  The heap list
-    is never replaced, so a dispatch loop may hold on to it across
-    callbacks that cancel.
-    """
-
-    __slots__ = ("_heap", "_cancelled")
-
-    def __init__(self) -> None:
-        self._heap: List[EventEntry] = []
-        self._cancelled = 0
-
-    def pop(self) -> Optional[EventEntry]:
-        """Remove and return the next live entry, or None when empty."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            handle = entry[3]
-            if handle is not None and handle.cancelled:
-                self._cancelled -= 1
-                continue
-            return entry
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live entry, or None when empty."""
-        heap = self._heap
-        while heap:
-            handle = heap[0][3]
-            if handle is None or not handle.cancelled:
-                return heap[0][0]
-            heappop(heap)
-            self._cancelled -= 1
-        return None
-
-    def __len__(self) -> int:
-        """Number of live (non-cancelled) resident entries."""
-        return len(self._heap) - self._cancelled
-
-    @property
-    def resident(self) -> int:
-        """Total resident entries, including cancelled ones."""
-        return len(self._heap)
-
-    @property
-    def cancelled(self) -> int:
-        """Cancelled entries still occupying space."""
-        return self._cancelled
-
-    def note_cancel(self) -> None:
-        """A resident entry's handle was cancelled."""
-        self._cancelled += 1
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > len(self._heap)):
-            self.compact()
-
-    def compact(self) -> None:
-        """Rebuild without cancelled entries, in place."""
-        heap = self._heap
-        heap[:] = [entry for entry in heap
-                   if entry[3] is None or not entry[3].cancelled]
-        heapify(heap)
-        self._cancelled = 0
+        self.sim._note_cancel()
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +84,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue = HeapEventQueue()
-        # The queue's heap list, which compaction never replaces: the
-        # hot paths push and pop it without a method frame.
-        self._heap = self._queue._heap
+        # Pending events.  Compaction rebuilds the list in place and
+        # never replaces it, so a dispatch loop may hold on to it across
+        # callbacks that cancel.
+        self._heap: List[EventEntry] = []
+        # Cancelled entries still resident in the heap.
+        self._cancelled = 0
         self._seq = itertools.count()
         self.events_fired = 0
         # Fast-forward window for Simulator.advance_to (set by run/
@@ -182,12 +110,28 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Live (non-cancelled) events currently resident."""
-        return len(self._queue)
+        return len(self._heap) - self._cancelled
 
     @property
     def cancelled_events(self) -> int:
         """Cancelled events still occupying queue space."""
-        return self._queue.cancelled
+        return self._cancelled
+
+    def _note_cancel(self) -> None:
+        """A resident entry's handle was cancelled: compact once more
+        than half the resident entries are dead."""
+        self._cancelled += 1
+        if (self._cancelled > COMPACT_MIN_CANCELLED
+                and self._cancelled * 2 > len(self._heap)):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap without cancelled entries, in place."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap
+                   if entry[3] is None or not entry[3].cancelled]
+        heapify(heap)
+        self._cancelled = 0
 
     # -- scheduling ----------------------------------------------------
     def schedule(self, time: float, callback: EventCallback) -> EventHandle:
@@ -219,21 +163,33 @@ class Simulator:
         return self.schedule(self.now + delay, callback)
 
     def peek_next_time(self) -> Optional[float]:
-        return self._queue.peek_time()
+        """Time of the next live event, or None when none is pending;
+        discards the cancelled entries on top of the heap."""
+        heap = self._heap
+        while heap:
+            handle = heap[0][3]
+            if handle is None or not handle.cancelled:
+                return heap[0][0]
+            heappop(heap)
+            self._cancelled -= 1
+        return None
 
     # -- dispatch ------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event; False when none remain."""
-        entry = self._queue.pop()
-        if entry is None:
-            return False
-        time, _, callback, handle = entry
-        if handle is not None:
-            handle.fired = True
-        self.now = time
-        self.events_fired += 1
-        callback()
-        return True
+        heap = self._heap
+        while heap:
+            time, _, callback, handle = heappop(heap)
+            if handle is not None:
+                if handle.cancelled:
+                    self._cancelled -= 1
+                    continue
+                handle.fired = True
+            self.now = time
+            self.events_fired += 1
+            callback()
+            return True
+        return False
 
     def register_clock_consumer(self) -> None:
         """Declare a component that may call :meth:`advance_to`.
@@ -271,7 +227,7 @@ class Simulator:
         budget = self._budget
         if budget is not None and self.events_fired >= budget:
             return False
-        next_time = self._queue.peek_time()
+        next_time = self.peek_next_time()
         if next_time is not None and next_time <= time:
             return False
         self.now = time
@@ -333,12 +289,11 @@ class Simulator:
         if budget is None:
             budget = math.inf
         heap = self._heap
-        queue = self._queue
         while heap:
             time, _, callback, handle = heap[0]
             if handle is not None and handle.cancelled:
                 heappop(heap)
-                queue._cancelled -= 1
+                self._cancelled -= 1
                 continue
             if time > end_time:
                 return True

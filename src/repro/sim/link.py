@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from repro.errors import ConfigurationError
-from repro.obs.scope import NULL_TRACER
 from repro.sim.packet import Packet
 
 GBPS = 1e9
@@ -34,8 +33,8 @@ class Link:
         self.bytes_sent = 0
         self.packets_sent = 0
         self.busy_time = 0.0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._traced = self.tracer is not NULL_TRACER
+        self.tracer = tracer
+        self._traced = tracer is not None
 
     def transmit(self, packet: Packet, now: float) -> float:
         """Start transmitting ``packet`` at ``now``; returns finish time."""

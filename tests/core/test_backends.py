@@ -1,5 +1,5 @@
 """The backend registry: lookup, registration, capacity policy, and the
-instrumentation split."""
+hardware model's cost accounting."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.core.backends import (DEFAULT_BACKEND, DEFAULT_CAPACITY,
                                  make_factory, make_list, register_backend,
                                  unregister_backend)
 from repro.core.element import Element
-from repro.core.instrumentation import (NULL_INSTRUMENTATION,
-                                        NullInstrumentation)
 from repro.core.opstats import OpCounters
 from repro.core.pieo import PieoHardwareList
 from repro.core.pifo import PifoDesignPieoList
@@ -27,7 +25,12 @@ def test_builtin_backends_registered():
 
 def test_make_list_instantiates_expected_classes():
     assert isinstance(make_list("reference"), ReferencePieo)
-    assert isinstance(make_list("hardware", capacity=64), PieoHardwareList)
+    hardware = make_list("hardware", capacity=64)
+    assert isinstance(hardware, PieoHardwareList)
+    assert isinstance(hardware.counters, OpCounters)
+    hardware.enqueue(Element("a", rank=1))
+    hardware.dequeue(now=0)
+    assert hardware.counters.cycles > 0
     assert isinstance(make_list("pifo-design", capacity=16),
                       PifoDesignPieoList)
     assert isinstance(make_list("pheap", capacity=16), PHeap)
@@ -82,19 +85,6 @@ def test_capacity_is_enforced_through_the_registry():
 def test_backend_config_passes_through():
     hardware = make_list("hardware", capacity=64, sublist_size=4)
     assert hardware.sublist_size == 4
-
-
-def test_hardware_instrument_flag_selects_null_instrumentation():
-    charged = make_list("hardware", capacity=16)
-    silent = PieoHardwareList(16, instrumentation=NULL_INSTRUMENTATION)
-    assert isinstance(charged.counters, OpCounters)
-    assert isinstance(silent.counters, NullInstrumentation)
-    for pieo in (charged, silent):
-        pieo.enqueue(Element("a", rank=1))
-        pieo.dequeue(now=0)
-    assert charged.counters.cycles > 0
-    assert silent.counters.snapshot() == {}
-    assert silent.counters is NULL_INSTRUMENTATION
 
 
 def test_make_factory_builds_fresh_instances():

@@ -1,20 +1,14 @@
-"""Default-path regression: the null observers add no events and no
-counter deltas anywhere in the stack.
+"""Default-path regression: ``None`` is the only "not observed".
 
-This guards the observability layer's core claim (mirroring
-``NullInstrumentation``): constructing schedulers/engines/simulators
-*without* a tracer or metrics registry must leave the shared null
-singletons untouched and produce byte-identical scheduling behaviour.
+Schedulers, engines, links and dataplanes built without a tracer or
+metrics registry hold ``None`` (Python's null singleton) and skip every
+observer call, and attaching observers must not change the schedule.
 """
 
-from repro.core.element import Element
-from repro.core.instrumentation import NULL_INSTRUMENTATION
-from repro.core.pieo import PieoHardwareList
-from repro.obs import (NULL_METRICS, NULL_TRACER, MetricsRegistry,
-                       NullMetrics, NullTracer, Tracer)
+from repro.obs import MetricsRegistry, Tracer
 from repro.sched import PieoScheduler, WF2Qplus
-from repro.sim import (BackloggedSource, FlowQueue, Link, Simulator,
-                       TransmitEngine, gbps)
+from repro.sim import (BackloggedSource, Dataplane, FlowQueue, Link,
+                       Simulator, TransmitEngine, gbps)
 
 
 def _run_small_sim(tracer=None, metrics=None):
@@ -36,20 +30,24 @@ def _run_small_sim(tracer=None, metrics=None):
 
 def test_default_components_share_the_null_singletons():
     engine = _run_small_sim()
-    assert engine.tracer is NULL_TRACER
-    assert engine.metrics is NULL_METRICS
-    assert engine.link.tracer is NULL_TRACER
-    assert engine.scheduler.tracer is NULL_TRACER
-
-
-def test_null_observers_record_nothing_across_a_run():
-    engine = _run_small_sim(tracer=NullTracer(), metrics=NullMetrics())
     assert engine.recorder.departures  # the sim actually ran
-    assert NULL_TRACER.emitted == 0
-    assert NULL_TRACER.counts == {}
-    assert list(NULL_TRACER.events) == []
-    assert NULL_METRICS.snapshot() == {}
-    assert engine.metrics.to_dict() == {}
+    assert engine.tracer is None
+    assert engine.metrics is None
+    assert engine.link.tracer is None
+    assert engine.scheduler.tracer is None
+    assert engine.scheduler.metrics is None
+    dataplane = Dataplane(Simulator())
+    for port_id in ("p0", "p1"):
+        dataplane.add_port(
+            port_id, link_rate_bps=gbps(10),
+            make_scheduler=lambda tracer, metrics: PieoScheduler(
+                WF2Qplus(), tracer=tracer, metrics=metrics))
+    for port in dataplane.ports.values():
+        assert port.engine.tracer is None
+        assert port.engine.metrics is None
+        assert port.engine.link.tracer is None
+        assert port.engine.scheduler.tracer is None
+        assert port.engine.scheduler.metrics is None
 
 
 def test_null_and_real_observers_reach_identical_schedules():
@@ -63,13 +61,3 @@ def test_null_and_real_observers_reach_identical_schedules():
                          for d in traced.recorder.departures]
     assert untraced_departures == traced_departures
     assert traced.tracer.emitted > 0
-
-
-def test_null_instrumentation_alignment():
-    """The obs null family and the hardware-model null instrumentation
-    make the same promise: zero recorded state on the default path."""
-    silent = PieoHardwareList(16, instrumentation=NULL_INSTRUMENTATION)
-    silent.enqueue(Element("a", rank=1, send_time=0))
-    silent.dequeue(now=0)
-    assert silent.counters is NULL_INSTRUMENTATION
-    assert silent.counters.snapshot() == {}

@@ -3,8 +3,7 @@ views, port-aware analysis/audits, and the per-port Perfetto split."""
 
 import pytest
 
-from repro.obs import (NULL_METRICS, NULL_TRACER, MetricsRegistry,
-                       TraceAnalysis, Tracer)
+from repro.obs import MetricsRegistry, TraceAnalysis, Tracer
 from repro.obs.export import perfetto_trace
 from repro.obs.metrics import ScopedMetrics, scoped
 from repro.obs.trace import LabelledTracer, labelled
@@ -38,10 +37,9 @@ def test_labelled_views_nest_inner_wins():
 
 
 def test_labelled_passthrough_identities():
-    """None, the null tracer, and empty labels pass through unchanged
-    so `tracer is NULL_TRACER` fast paths stay meaningful."""
+    """None and empty labels pass through unchanged, so an untraced
+    port's components still see None."""
     assert labelled(None, port="p0") is None
-    assert labelled(NULL_TRACER, port="p0") is NULL_TRACER
     tracer = Tracer()
     assert labelled(tracer) is tracer
 
@@ -75,7 +73,6 @@ def test_scoped_rejects_empty_prefix():
 
 def test_scoped_passthrough_identities():
     assert scoped(None, "port.p0") is None
-    assert scoped(NULL_METRICS, "port.p0") is NULL_METRICS
 
 
 def test_scoped_counters_share_the_base_registry():

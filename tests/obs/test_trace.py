@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from repro.obs import (EVENT_KINDS, NULL_TRACER, LabelledTracer, TraceEvent,
-                       Tracer, labelled, read_jsonl)
+from repro.obs import (EVENT_KINDS, LabelledTracer, TraceEvent, Tracer,
+                       labelled, read_jsonl)
 
 
 def test_typed_emitters_produce_typed_events():
@@ -61,18 +61,7 @@ def test_reserved_label_rejected_when_view_is_built(name):
         labelled(tracer, port="p0", **{name: "x"})
     # Rejected on the untraced path too, not only once a tracer exists.
     with pytest.raises(ValueError, match="reserved"):
-        labelled(NULL_TRACER, **{name: "x"})
-
-
-def test_span_measures_wall_clock():
-    tracer = Tracer()
-    with tracer.span("dequeue", sim_time=1.5) as span:
-        sum(range(1000))
-    assert span.wall_us is not None and span.wall_us >= 0
-    (event,) = tracer.events_of("span")
-    assert event.time == 1.5
-    assert event.get("name") == "dequeue"
-    assert event.get("wall_us") == pytest.approx(span.wall_us, abs=0.01)
+        labelled(None, **{name: "x"})
 
 
 def test_ring_buffer_bounds_retention_and_counts_drops():
@@ -97,12 +86,11 @@ def test_zero_capacity_retains_nothing_but_counts():
 
 @pytest.mark.parametrize("method", ["timer_arm", "timer_fire",
                                     "timer_cancel"])
-@pytest.mark.parametrize("view", ["tracer", "labelled", "null"])
+@pytest.mark.parametrize("view", ["tracer", "labelled"])
 def test_timer_events_need_a_scope(method, view):
     """No timer scope is implied: a caller names the timer it traces."""
     tracer = {"tracer": Tracer(),
-              "labelled": LabelledTracer(Tracer(), port="p0"),
-              "null": NULL_TRACER}[view]
+              "labelled": LabelledTracer(Tracer(), port="p0")}[view]
     args = (0.1, 1, 0.2) if method == "timer_arm" else (0.1, 1)
     with pytest.raises(TypeError, match="scope"):
         getattr(tracer, method)(*args)
@@ -214,10 +202,3 @@ def test_streaming_sink_writes_as_events_happen(tmp_path):
 def test_trace_event_json_is_compact():
     event = TraceEvent(0.125, "kick", {"at": 0.25})
     assert event.to_json() == '{"t":0.125,"kind":"kick","at":0.25}'
-
-
-def test_disabled_tracer_records_nothing():
-    tracer = Tracer()
-    tracer.enabled = False
-    tracer.kick(0.0)
-    assert tracer.emitted == 0 and len(tracer.events) == 0

@@ -180,7 +180,7 @@ def test_compaction_bounds_resident_under_cancel_churn():
     for _ in range(5_000):
         handle = sim.schedule(0.5, lambda: None)
         handle.cancel()
-        peak_resident = max(peak_resident, sim._queue.resident)
+        peak_resident = max(peak_resident, len(sim._heap))
         peak_cancelled = max(peak_cancelled, sim.cancelled_events)
         peak_pending = max(peak_pending, sim.pending_events)
     bound = 2 * COMPACT_MIN_CANCELLED + 8
@@ -201,7 +201,7 @@ def test_tiny_queues_skip_compaction():
         handle.cancel()
     assert sim.cancelled_events == COMPACT_MIN_CANCELLED
     assert sim.pending_events == 0
-    assert sim._queue.resident == COMPACT_MIN_CANCELLED
+    assert len(sim._heap) == COMPACT_MIN_CANCELLED
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_compaction_under_churn_with_handle_free_events():
         fired.append(index)
         for _ in range(3):
             sim.schedule(sim.now + 1.0, dead).cancel()
-        peak_resident = max(peak_resident, sim._queue.resident)
+        peak_resident = max(peak_resident, len(sim._heap))
         if index < 2_000:
             sim.post(sim.now + 1e-6, lambda: step(index + 1))
 

@@ -142,11 +142,11 @@ def test_cancel_after_fire_emits_nothing():
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
     sim.run()
-    fired, resident = sim.events_fired, sim._queue.resident
+    fired, resident = sim.events_fired, len(sim._heap)
     handle.cancel()
     handle.cancel()
     assert not handle.cancelled
     assert sim.cancelled_events == 0
     assert sim.pending_events == 0
     assert sim.events_fired == fired
-    assert sim._queue.resident == resident
+    assert len(sim._heap) == resident
