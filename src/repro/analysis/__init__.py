@@ -6,8 +6,7 @@ _EXPORTS = {
     "repro.analysis.deviation": ("inversions", "kendall_tau_distance",
                                  "max_deviation", "mean_deviation",
                                  "positionwise_deviation"),
-    "repro.analysis.fairness": ("jains_index", "max_relative_error"),
-    "repro.analysis.latency": ("LatencyStats", "summarize"),
+    "repro.analysis.fairness": ("jains_index",),
     "repro.analysis.quantiles": ("exact_quantile",),
 }
 

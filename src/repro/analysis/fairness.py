@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence
+from typing import Sequence
 
 
 def jains_index(allocations: Sequence[float]) -> float:
@@ -17,16 +17,3 @@ def jains_index(allocations: Sequence[float]) -> float:
         return 1.0
     return (total * total) / (len(values) * squares)
 
-
-def max_relative_error(achieved: Dict[Hashable, float],
-                       target: Dict[Hashable, float]) -> float:
-    """Worst-case |achieved - target| / target across keys; the rate-limit
-    accuracy metric for Fig. 11."""
-    worst = 0.0
-    for key, expected in target.items():
-        if expected <= 0:
-            continue
-        error = abs(achieved.get(key, 0.0) - expected) / expected
-        if error > worst:
-            worst = error
-    return worst

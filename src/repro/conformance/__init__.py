@@ -28,14 +28,14 @@ from repro._lazy import lazy_namespace
 
 _EXPORTS = {
     "repro.conformance.checkers": ("CHECKERS", "ConformanceRun",
-                                   "Violation", "run_checker"),
+                                   "Violation"),
     "repro.conformance.metamorphic": ("TRANSFORMS", "apply_transform",
                                       "metamorphic_verdicts"),
     "repro.conformance.oracle": ("GpsResult", "gps_finish_times",
                                  "token_bucket_violations"),
     "repro.conformance.runner": ("CheckOutcome", "ConformanceReport",
                                  "check_algorithm", "check_trace",
-                                 "run_scenario", "sweep_registry"),
+                                 "run_scenario"),
     "repro.conformance.scenarios": ("SCENARIOS", "FlowSpec", "Scenario",
                                     "make_scenario"),
 }

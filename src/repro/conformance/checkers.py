@@ -565,8 +565,3 @@ CHECKERS: Dict[str, Callable[[ConformanceRun], List[Violation]]] = {
     "token-bucket-conformance": check_token_bucket,
     "tdma-slots": check_tdma_slots,
 }
-
-
-def run_checker(name: str, run: ConformanceRun) -> List[Violation]:
-    """Run one named checker against a run."""
-    return CHECKERS[name](run)

@@ -7,8 +7,8 @@ PieoScheduler + TransmitEngine) with an in-memory
 sequence, and returns a :class:`~repro.conformance.checkers.ConformanceRun`
 ready for the checker library.  ``check_algorithm`` then runs every
 checker the algorithm's :class:`~repro.sched.spec.AlgorithmSpec` makes
-applicable and folds waivers into a pass/fail verdict;
-``sweep_registry`` does that for the whole catalogue.
+applicable and folds waivers into a pass/fail verdict (the CLI's
+``sweep`` runs it over the whole catalogue).
 
 Violation *injection* (``inject=``) deliberately corrupts the trace
 before checking — used by tests and CI to prove the harness actually
@@ -210,17 +210,6 @@ def check_algorithm(algorithm_name: str,
     return ConformanceReport(algorithm=algorithm_name,
                              scenario=scenario.name,
                              outcomes=check_run(run))
-
-
-def sweep_registry(algorithms: Optional[Sequence[str]] = None,
-                   seed: int = 0,
-                   backend: Optional[str] = None,
-                   ) -> List[ConformanceReport]:
-    """Conformance-check every registered algorithm."""
-    from repro.sched.registry import available_algorithms
-    names = list(algorithms) if algorithms else available_algorithms()
-    return [check_algorithm(name, seed=seed, backend=backend)
-            for name in names]
 
 
 def check_trace(path: str) -> List[ConformanceReport]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (Callable, Dict, Hashable, List, Optional, Tuple)
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: Slot plan matching the registry's TDMA default (100us slots, 8-slot
 #: frame); carried on the scenario so metamorphic time scaling can
@@ -67,9 +67,6 @@ class Scenario:
     #: ``(slot_seconds, frame_slots)`` for slotted runs, else None.
     slot_plan: Optional[Tuple[float, int]] = None
     description: str = ""
-
-    def weights(self) -> Dict[Hashable, float]:
-        return {flow.flow_id: flow.weight for flow in self.flows}
 
 
 _SIZES = (500, 1000, 1500)

@@ -144,10 +144,6 @@ class Sublist:
                 f"{self.sublist_id}")
         self.eligibility.pop(position)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        ranks = [entry.rank for entry in self.entries]
-        return f"Sublist(id={self.sublist_id}, ranks={ranks})"
-
 
 @dataclass
 class PointerEntry:
@@ -212,14 +208,6 @@ class OrderedSublistArray:
         shift of the flip-flop array)."""
         entry = self.entries.pop(source)
         self.entries.insert(destination, entry)
-
-    def activate(self, position: int) -> int:
-        """Bring the empty sublist at ``position`` into the non-empty
-        partition at its tail; return its new position."""
-        destination = self.num_nonempty
-        self.move_entry(position, destination)
-        self.num_nonempty += 1
-        return destination
 
     def activate_at(self, position: int, destination: int) -> None:
         """Bring an empty sublist into the non-empty partition at an

@@ -30,10 +30,11 @@ the flat order and results are bit-identical:
   after every equal rank.
 * **grouped**: per-group sorted arrays, entered lazily (from either
   other mode) on the first single-group ``dequeue``/``peek``.
-  Logical-PIEO views (:class:`repro.sched.framework.LogicalPieoView`)
-  and the schedulers built on them issue *only* single-group
-  operations, and maintaining a global sorted order next to the
-  per-group arrays doubles every insert/remove for no benefit — the
+  The schedulers of a hierarchy's nodes, which share one list per level
+  and read their logical PIEOs through one-group ranges, issue *only*
+  single-group ``dequeue``/``peek`` operations, and maintaining a
+  global sorted order next to the per-group arrays doubles every
+  insert/remove for no benefit — the
   grouped mode keeps only the per-group arrays and derives the global
   (rank, seq) order on demand for the rare whole-list operation
   (``snapshot``, flat ``dequeue``/``peek``, ``min_send_time``).

@@ -4,9 +4,8 @@ from repro._lazy import lazy_namespace
 
 _EXPORTS = {
     "repro.hw.clock": ("MTU_BUDGET_NS_AT_100G", "RateReport",
-                       "asic_pieo_latency_ns", "pieo_clock_mhz",
-                       "pieo_rate_report", "pifo_clock_mhz",
-                       "pifo_rate_report"),
+                       "pieo_clock_mhz", "pieo_rate_report",
+                       "pifo_clock_mhz", "pifo_rate_report"),
     "repro.hw.device": ("ASIC", "STRATIX_10", "STRATIX_V", "Device"),
     "repro.hw.resources": ("ALMS_PER_LANE", "LogicReport", "logic_report",
                            "max_capacity", "pieo_alms", "pieo_lanes",

@@ -103,8 +103,3 @@ def _rate_report(capacity: int, device: Device, clock_mhz: float,
         ops_per_second=clock_mhz * 1e6 / cycles,
         min_packet_bytes_at_100g=min_packet,
     )
-
-
-def asic_pieo_latency_ns() -> float:
-    """Section 6.2's ASIC what-if: 4 cycles at 1 GHz = 4 ns."""
-    return pieo_rate_report(30_000, ASIC).op_latency_ns

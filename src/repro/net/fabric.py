@@ -190,10 +190,7 @@ class Fabric:
         self.hosts[node].receive(packet)
         self.collector.packet_delivered(packet, self.sim.now)
 
-    # -- running / reporting -------------------------------------------
-    def run_until(self, end_time: float) -> None:
-        self.sim.run_until(end_time)
-
+    # -- reporting -----------------------------------------------------
     def ttl_drops(self) -> int:
         return sum(switch.ttl_drops
                    for switch in self.switches.values())

@@ -126,6 +126,3 @@ class Host:
 
     def conservation(self):
         return self.dataplane.conservation()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Host({self.name!r})"

@@ -144,6 +144,3 @@ class FabricSwitch:
     # -- reporting ------------------------------------------------------
     def conservation(self) -> Dict[str, int]:
         return self.dataplane.conservation()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FabricSwitch({self.name!r})"

@@ -23,7 +23,7 @@ part of the determinism contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.link import gbps
@@ -114,9 +114,6 @@ class Topology:
             raise ConfigurationError(
                 f"no link {src!r} -> {dst!r}") from None
 
-    def links(self) -> Iterable[NetLink]:
-        return [self._links[key] for key in sorted(self._links)]
-
     def validate(self) -> None:
         """Every host needs at least one attached link; a host with
         more than one is fine (multihoming) but unusual."""
@@ -124,11 +121,6 @@ class Topology:
             if not self._neighbors[host]:
                 raise ConfigurationError(
                     f"host {host!r} has no attached link")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Topology({len(self.hosts)} hosts, "
-                f"{len(self.switches)} switches, "
-                f"{len(self._links)} directed links)")
 
 
 # ----------------------------------------------------------------------

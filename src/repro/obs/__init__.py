@@ -31,8 +31,7 @@ _EXPORTS = {
     "repro.obs.analyze": ("FlowReport", "PacketTimeline", "Run",
                           "TraceAnalysis", "split_runs"),
     "repro.obs.export": ("flow_report_json", "perfetto_trace",
-                         "prometheus_from_snapshot", "prometheus_text",
-                         "write_perfetto", "write_prometheus"),
+                         "prometheus_from_snapshot", "write_perfetto"),
     "repro.obs.heartbeat": ("NULL_HEARTBEAT", "NullSweepHeartbeat",
                             "SweepHeartbeat"),
     "repro.obs.metrics": ("BATCH_BUCKETS", "Counter", "DEPTH_BUCKETS",

@@ -29,11 +29,8 @@ conservatively attributed to eligibility wait and the affected packets
 are flagged ``eligibility_exact=False``.
 
 On top of the timelines: per-flow reports with exact (sample-sorted)
-p50/p90/p99/p999 latency, a starvation detector, Recorder-equivalent
-rate/ordering views derived from the trace (so
-:class:`repro.sim.recorder.Recorder` and the tracer no longer disagree
-silently), and audits that fail loudly on truncated or corrupted
-traces.
+p50/p90/p99/p999 latency, a starvation detector, and audits that fail
+loudly on truncated or corrupted traces.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.analysis.quantiles import exact_quantile
-from repro.sim.recorder import Recorder
 
 #: Sim-time comparisons tolerate this much float noise (seconds).
 TIME_EPSILON = 1e-12
@@ -228,23 +224,6 @@ class PacketTimeline:
     @property
     def delivered(self) -> bool:
         return self.depart_end is not None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "packet_id": self.packet_id,
-            "flow_id": self.flow_id,
-            "size_bytes": self.size_bytes,
-            "port": self.port,
-            "arrival_t": self.arrival_t,
-            "depart_start": self.depart_start,
-            "depart_end": self.depart_end,
-            "dropped": self.dropped,
-            "latency": self.latency,
-            "queueing_wait": self.queueing_wait,
-            "eligibility_wait": self.eligibility_wait,
-            "serialization": self.serialization,
-            "eligibility_exact": self.eligibility_exact,
-        }
 
 
 @dataclass
@@ -589,30 +568,6 @@ class TraceAnalysis:
                     # and keep the inexactness flag.
                     timeline.eligibility_wait += timeline.queueing_wait
                     timeline.queueing_wait = 0.0
-
-    # ------------------------------------------------------------------
-    # Recorder-equivalent views (derived from the trace)
-    # ------------------------------------------------------------------
-    def to_recorder(self) -> Recorder:
-        """A :class:`repro.sim.recorder.Recorder` populated from the
-        trace's ``departure`` events — rate/ordering views come from one
-        source of truth instead of a second bookkeeping path."""
-        recorder = Recorder()
-        for t, flow_id, size, packet_id, _finish, _port in \
-                self._departure_events:
-            recorder.record(t, flow_id, size,
-                            packet_id if packet_id is not None else -1)
-        return recorder
-
-    def order(self) -> List[Hashable]:
-        return [flow_id for _, flow_id, _, _, _, _
-                in self._departure_events]
-
-    def rate_bps(self, **kwargs) -> Dict[Hashable, float]:
-        return self.to_recorder().rate_bps(**kwargs)
-
-    def bytes_by_flow(self, **kwargs) -> Dict[Hashable, int]:
-        return self.to_recorder().bytes_by_flow(**kwargs)
 
     # ------------------------------------------------------------------
     # Per-flow reports

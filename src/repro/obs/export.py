@@ -2,9 +2,9 @@
 
 Two formats so the observability data plugs into off-the-shelf tooling:
 
-* **Prometheus text exposition** (:func:`prometheus_text` /
-  :func:`prometheus_from_snapshot`) — every counter, gauge (with
-  min/max watermarks), fixed-bucket histogram, and log-scaled
+* **Prometheus text exposition** (:func:`prometheus_from_snapshot`)
+  — every counter, gauge (with min/max watermarks), fixed-bucket
+  histogram, and log-scaled
   :class:`~repro.obs.metrics.LogHistogram` of a
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot, with correct
   ``# TYPE`` annotations and cumulative ``le`` buckets;
@@ -65,7 +65,7 @@ def _histogram_lines(name: str, bounds: List[float],
 
 def prometheus_from_snapshot(snapshot: Dict[str, Dict],
                              namespace: str = "repro") -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` dict (live, or re-read
+    """Render a :meth:`MetricsRegistry.to_dict` snapshot (live, or re-read
     from a ``--metrics`` JSON file) in Prometheus text exposition
     format."""
     lines: List[str] = []
@@ -110,13 +110,6 @@ def prometheus_from_snapshot(snapshot: Dict[str, Dict],
             metric, bounds, cumulative, histogram.get("count", 0),
             histogram.get("sum", 0.0)))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def prometheus_text(registry, namespace: str = "repro") -> str:
-    """Prometheus text exposition of a live
-    :class:`~repro.obs.metrics.MetricsRegistry`."""
-    return prometheus_from_snapshot(registry.snapshot(),
-                                    namespace=namespace)
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +256,6 @@ def write_perfetto(path, analysis: TraceAnalysis,
         handle.write("\n")
     return sum(1 for event in trace["traceEvents"]
                if event.get("ph") != "M")
-
-
-def write_prometheus(path, snapshot: Dict[str, Dict],
-                     namespace: str = "repro") -> None:
-    with open(path, "w") as handle:
-        handle.write(prometheus_from_snapshot(snapshot,
-                                              namespace=namespace))
 
 
 def flow_report_json(analysis: TraceAnalysis,

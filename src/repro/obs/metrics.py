@@ -16,9 +16,9 @@ updated on the hot path with O(1) work:
   bounded relative error, for tail-latency analysis where fixed buckets
   quantize too coarsely.
 
-``snapshot()`` / ``to_dict()`` return plain dicts; :meth:`write_json`
-persists them.  An unobserved component is given ``metrics=None`` and
-creates no instruments at all.
+:meth:`MetricsRegistry.to_dict` returns a plain-dict snapshot;
+:meth:`MetricsRegistry.write_json` persists it.  An unobserved
+component is given ``metrics=None`` and creates no instruments at all.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ class Counter:
 class Gauge:
     """An instantaneous level with min/max watermarks.
 
-    The watermarks cover every value the gauge has taken since creation
-    (or the last :meth:`reset`), so "queue depth never went negative" is
-    checkable from a snapshot alone.
+    The watermarks cover every value the gauge has taken since creation,
+    so "queue depth never went negative" is checkable from a snapshot
+    alone.
 
     Invariant: ``min`` and ``max`` are both ``None`` (no update yet) or
     both set, and then ``min <= value <= max``.  The hot paths that
@@ -99,12 +99,6 @@ class Gauge:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def reset(self) -> None:
-        # Back to the no-update state of the invariant above.
-        self.value = 0.0
-        self.min = None
-        self.max = None
 
 
 class Histogram:
@@ -151,24 +145,6 @@ class Histogram:
         saturated tail is visible in snapshots (a histogram whose
         overflow dominates needs wider buckets, not trust)."""
         return self.counts[-1]
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from the bucket counts (upper bound of
-        the bucket holding the q-th observation; ``inf`` if it landed in
-        the overflow bucket)."""
-        if not 0 <= q <= 1:
-            raise ValueError("quantile must be within [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= target:
-                if index < len(self.buckets):
-                    return float(self.buckets[index])
-                return math.inf
-        return math.inf  # pragma: no cover - cumulative covers count
 
 
 class LogHistogram:
@@ -366,9 +342,6 @@ class MetricsRegistry:
             },
         }
 
-    def snapshot(self) -> Dict[str, Dict]:
-        return self.to_dict()
-
     def write_json(self, path) -> None:
         with open(path, "w") as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
@@ -419,15 +392,6 @@ class ScopedMetrics:
         return self.base.log_histogram(
             f"{self.prefix}.{name}", min_value=min_value,
             max_value=max_value, growth=growth)
-
-    def to_dict(self) -> Dict[str, Dict]:
-        return self.base.to_dict()
-
-    def snapshot(self) -> Dict[str, Dict]:
-        return self.base.snapshot()
-
-    def write_json(self, path) -> None:
-        self.base.write_json(path)
 
 
 def scoped(metrics, prefix: str):

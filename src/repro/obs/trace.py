@@ -13,7 +13,7 @@ it describes.  The ``span`` kind (a wall-clock latency, fields
 ``name`` and ``wall_us``) has no typed emitter; it is kept so trace
 files that carry it still load and analyze.
 
-Analysis code consumes events in-process (:meth:`Tracer.events_of`) or
+Analysis code consumes events in-process (:attr:`Tracer.events`) or
 offline from the JSONL export, one JSON object per line::
 
     {"t": 0.0003072, "kind": "departure", "flow_id": "n6.f2", ...}
@@ -119,19 +119,9 @@ class TraceEvent:
     kind: str
     fields: Dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        record: Dict[str, object] = {"t": _json_safe(self.time),
-                                     "kind": self.kind}
-        for key, value in self.fields.items():
-            record[key] = _json_safe(value)
-        return record
-
     def to_json(self) -> str:
         return _record_json({"t": self.time, "kind": self.kind,
                              **self.fields})
-
-    def get(self, key: str, default=None):
-        return self.fields.get(key, default)
 
 
 class _TypedEmitters:
@@ -387,11 +377,6 @@ class Tracer(_TypedEmitters):
     @property
     def events(self) -> Sequence[TraceEvent]:
         return self._events
-
-    def events_of(self, *kinds: str) -> List[TraceEvent]:
-        """Retained events restricted to the given kinds, in order."""
-        wanted = set(kinds)
-        return [event for event in self._events if event.kind in wanted]
 
     def iter_jsonl(self) -> Iterator[str]:
         for event in self._events:

@@ -19,8 +19,7 @@ _EXPORTS = {
     "repro.sched.drr": ("DeficitRoundRobin",),
     "repro.sched.feedback": ("PAUSE", "RESUME", "FeedbackChannel"),
     "repro.sched.framework": ("PieoScheduler", "SchedulerContext"),
-    "repro.sched.hierarchical": ("HierarchicalScheduler",
-                                 "LogicalPieoView", "SchedNode",
+    "repro.sched.hierarchical": ("HierarchicalScheduler", "SchedNode",
                                  "two_level_tree"),
     "repro.sched.mlfq": ("MultiLevelFeedbackQueue",),
     "repro.sched.priority": ("EarliestDeadlineFirst",

@@ -15,10 +15,11 @@ ordered list, and the programming functions of a
   specific flow, mutate its attributes, and re-enqueue it (Section 4.4).
 
 Every ordered-list operation of a decision is one call into the list
-backend.  A node of a hierarchy runs its scheduler on a
-:class:`LogicalPieoView`; the scheduler unwraps the view once and sends
-its dequeues and enqueues straight to the level's physical PIEO with
-the node's prebuilt one-group range.
+backend.  A node of a hierarchy has no list of its own: its scheduler
+is given the level's shared physical PIEO and the node's group id, and
+its logical PIEO is that list read through the one-group range
+``(group, group)`` (Section 4.3): dequeues and peeks pass the prebuilt
+range and enqueues tag each element with the group.
 
 Each scheduler also keeps the smallest virtual start time over its
 backlogged flows, the value the PIEO hardware reads from its
@@ -42,66 +43,6 @@ from repro.errors import (ConfigurationError, SimulationError,
 from repro.sched.base import SchedulingAlgorithm, TimeBase, TriggerModel
 from repro.sim.flow import FlowQueue
 from repro.sim.packet import Packet
-
-
-class LogicalPieoView(PieoList):
-    """A node's logical PIEO: the group-filtered view of a shared
-    physical PIEO (Fig. 4, "node 2's logical PIEO extracted using
-    predicate").
-
-    A :class:`PieoScheduler` built on a view issues its hot-path list
-    operations straight to the physical PIEO with the view's one-group
-    range, so each costs one call; the view serves everything else.
-    """
-
-    def __init__(self, physical: PieoList, group_id: int) -> None:
-        self._physical = physical
-        self._group_id = group_id
-
-    @property
-    def capacity(self) -> int:
-        return self._physical.capacity
-
-    def __len__(self) -> int:
-        return sum(1 for element in self._physical.snapshot()
-                   if element.group == self._group_id)
-
-    def snapshot(self) -> List[Element]:
-        return [element for element in self._physical.snapshot()
-                if element.group == self._group_id]
-
-    def __contains__(self, flow_id: Hashable) -> bool:
-        element = self._physical.find(flow_id)
-        return element is not None and element.group == self._group_id
-
-    def enqueue(self, element: Element) -> None:
-        element.group = self._group_id
-        self._physical.enqueue(element)
-
-    def dequeue(self, now: Time,
-                group_range: Optional[Tuple[int, int]] = None,
-                ) -> Optional[Element]:
-        if group_range is not None:
-            raise ConfigurationError(
-                "logical PIEO views fix their own group range")
-        return self._physical.dequeue(
-            now, group_range=(self._group_id, self._group_id))
-
-    def peek(self, now: Time,
-             group_range: Optional[Tuple[int, int]] = None,
-             ) -> Optional[Element]:
-        return self._physical.peek(
-            now, group_range=(self._group_id, self._group_id))
-
-    def dequeue_flow(self, flow_id: Hashable) -> Optional[Element]:
-        element = self._physical.find(flow_id)
-        if element is None or element.group != self._group_id:
-            return None
-        return self._physical.dequeue_flow(flow_id)
-
-    def min_send_time(self) -> Time:
-        times = [element.send_time for element in self.snapshot()]
-        return min(times) if times else math.inf
 
 
 class SchedulerContext:
@@ -143,12 +84,6 @@ class SchedulerContext:
 
     # -- global state -----------------------------------------------------
     @property
-    def state(self) -> Dict[str, float]:
-        """Global scheduling state (Section 3.2: accessible by both the
-        control plane and the programming functions)."""
-        return self._scheduler.state
-
-    @property
     def virtual_time(self) -> float:
         return self._scheduler.state.get("virtual_time", 0.0)
 
@@ -173,8 +108,8 @@ class SchedulerContext:
         if not scheduler._quiet:
             scheduler._list_enqueue(flow, rank, send_time, self.now)
             return
-        group = scheduler._group
-        scheduler._physical.enqueue(Element(
+        group = scheduler.group
+        scheduler.ordered_list.enqueue(Element(
             flow.flow_id, rank, send_time,
             flow.group if group is None else group, flow))
 
@@ -230,6 +165,13 @@ class PieoScheduler:
     ordered_list:
         An explicit :class:`repro.core.interfaces.PieoList` instance.
         Usually left unset in favour of ``backend``.
+    group:
+        Set on a hierarchy node's scheduler: ``ordered_list`` is then
+        the level's physical PIEO, shared with the other nodes at the
+        node's depth, and this id selects the node's logical PIEO in
+        it.  Elements are tagged with it and dequeued with the range
+        ``(group, group)``; flow ids must be unique across the list.
+        ``None`` (the default): the list is the scheduler's own.
     backend:
         Ordered-list backend name resolved through
         :mod:`repro.core.backends` (``"reference"``, ``"hardware"``,
@@ -253,7 +195,8 @@ class PieoScheduler:
                  trigger: TriggerModel = TriggerModel.OUTPUT,
                  link_rate_bps: float = 40e9,
                  backend: Optional[str] = None,
-                 tracer=None, metrics=None) -> None:
+                 tracer=None, metrics=None,
+                 group: Optional[int] = None) -> None:
         if link_rate_bps <= 0:
             raise ConfigurationError("link_rate_bps must be positive")
         if ordered_list is not None and backend is not None:
@@ -263,21 +206,13 @@ class PieoScheduler:
         if ordered_list is None:
             ordered_list = make_list(backend or DEFAULT_BACKEND)
         self.ordered_list: PieoList = ordered_list
-        #: Where the hot path sends its list operations.  A scheduler on
-        #: a logical PIEO view goes straight to the level's physical
-        #: PIEO, dequeuing with the view's one-group range and tagging
-        #: enqueued elements with its group, so each operation is one
-        #: call into the backend; otherwise the list itself, with no
-        #: range and each flow's own group.
-        if isinstance(ordered_list, LogicalPieoView):
-            self._physical: PieoList = ordered_list._physical
-            self._group: Optional[int] = ordered_list._group_id
-            self._group_range: Optional[Tuple[int, int]] = (
-                self._group, self._group)
-        else:
-            self._physical = ordered_list
-            self._group = None
-            self._group_range = None
+        #: The node's group in a shared level list (see ``group``), and
+        #: the one-group range its dequeues and peeks pass; both None
+        #: on a scheduler that owns its list, whose elements keep each
+        #: flow's own group.
+        self.group = group
+        self._group_range: Optional[Tuple[int, int]] = (
+            None if group is None else (group, group))
         self.trigger = trigger
         self.link_rate_bps = link_rate_bps
         self.tracer = tracer
@@ -426,8 +361,8 @@ class PieoScheduler:
                 eligibility_now = self.state.get("virtual_time", 0.0)
             else:
                 eligibility_now = now
-            element = self._physical.dequeue(eligibility_now,
-                                             self._group_range)
+            element = self.ordered_list.dequeue(eligibility_now,
+                                                self._group_range)
             if element is None:
                 return []
             if not self._quiet:
@@ -453,7 +388,7 @@ class PieoScheduler:
                 # This child's subtree already proved unable to send at
                 # this instant; put the element back untouched and stop
                 # (only time or an arrival can unblock it).
-                self._physical.enqueue(element)
+                self.ordered_list.enqueue(element)
                 if self._traced:
                     eligible = element.send_time <= eligibility_now
                     self._note_resident(element.flow_id, element.send_time,
@@ -492,7 +427,7 @@ class PieoScheduler:
             threshold = self.state.get("virtual_time", 0.0)
         else:
             threshold = now
-        element = self._physical.peek(threshold, self._group_range)
+        element = self.ordered_list.peek(threshold, self._group_range)
         return None if element is None else self.flows.get(element.flow_id)
 
     def next_eligible_time(self, now: Time) -> Time:
@@ -500,8 +435,12 @@ class PieoScheduler:
         succeed, for transmit-engine retry timers.  ``inf`` means "only a
         new arrival (or virtual-time advance) can help"."""
         if self.algorithm.time_base is not TimeBase.WALL:
-            return float("inf")
-        return self.ordered_list.min_send_time()
+            return math.inf
+        if self.group is None:
+            return self.ordered_list.min_send_time()
+        return min((element.send_time
+                    for element in self.ordered_list.snapshot()
+                    if element.group == self.group), default=math.inf)
 
     # ------------------------------------------------------------------
     # Asynchronous path (Section 4.4)
@@ -607,8 +546,8 @@ class PieoScheduler:
         instant; otherwise nothing, since a predicate on virtual time
         flips at no wall-clock instant the trace could name.
         """
-        group = self._group
-        self._physical.enqueue(Element(
+        group = self.group
+        self.ordered_list.enqueue(Element(
             flow.flow_id, rank, send_time,
             flow.group if group is None else group, flow))
         if self._quiet:

@@ -10,7 +10,11 @@ with its own policy.  A single PIEO cannot express this, but several can:
   group-range eligibility predicate ``p.start <= f.index <= p.end``.
   This implementation gives every non-leaf node a unique integer group id
   and tags children with it, which is the same predicate with a
-  one-element range (:class:`~repro.sched.framework.LogicalPieoView`);
+  one-element range: a node's :class:`~repro.sched.framework.PieoScheduler`
+  is given the level's physical PIEO and that group id, and nothing
+  else stands for the logical PIEO.  Ids must therefore be unique among
+  the elements of one level (all children of the nodes at one depth);
+  the tree rejects a repeated one when it is built;
 * enqueue at each level is triggered independently (a queue becoming
   non-empty activates its element in the parent's logical PIEO);
 * dequeue starts at the root PIEO and propagates down through the levels
@@ -29,15 +33,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.backends import DEFAULT_BACKEND, make_factory
 from repro.core.element import Time
 from repro.core.interfaces import PieoList
 from repro.errors import ConfigurationError
 from repro.sched.base import SchedulingAlgorithm, TimeBase
-from repro.sched.framework import (LogicalPieoView, PieoScheduler,
-                                   SchedulerContext)
+from repro.sched.framework import PieoScheduler, SchedulerContext
 from repro.sim.flow import FlowQueue
 from repro.sim.packet import MTU_BYTES, Packet
 
@@ -163,40 +166,44 @@ class HierarchicalScheduler:
         #: Wall-time nodes peek their children at this instant when a
         #: parent policy asks for their head packet.
         self.now: Time = 0.0
-        self._wire(root, depth=0)
+        self._wire(root, depth=0, wired=set())
         #: Static (physical list, group id) pairs for the wall-time-based
         #: nodes, precomputed so the retry-timer scan in
-        #: :meth:`next_eligible_time` avoids re-walking the tree and
-        #: building per-node filtered snapshots.
+        #: :meth:`next_eligible_time` avoids re-walking the tree.
         self._wall_scans: List[Tuple[PieoList, int]] = [
-            (node.scheduler.ordered_list._physical,
-             node.scheduler.ordered_list._group_id)
+            (node.scheduler.ordered_list, node.scheduler.group)
             for node in self._all_nodes(root)
             if node.algorithm.time_base is TimeBase.WALL]
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _physical_list(self, depth: int) -> PieoList:
-        while len(self.level_lists) <= depth:
-            self.level_lists.append(self._list_factory(None))
-        return self.level_lists[depth]
-
-    def _wire(self, node: SchedNode, depth: int) -> None:
+    def _wire(self, node: SchedNode, depth: int,
+              wired: Set[Tuple[int, Hashable]]) -> None:
+        """Give ``node`` its scheduler on the level list of ``depth`` and
+        wire its subtree; ``wired`` holds the ``(depth, id)`` of every
+        child wired so far, since the children of one depth's nodes
+        share that level's list."""
         node.depth = depth
         node.tree = self
         group_id = next(self._group_ids)
-        physical = self._physical_list(depth)
-        view = LogicalPieoView(physical, group_id)
+        if len(self.level_lists) == depth:
+            self.level_lists.append(self._list_factory(None))
         rate = node.rate_bps if node.rate_bps > 0 else self.link_rate_bps
         node.scheduler = PieoScheduler(
-            node.algorithm, ordered_list=view, link_rate_bps=rate,
-            tracer=self.tracer, metrics=self.metrics)
+            node.algorithm, ordered_list=self.level_lists[depth],
+            link_rate_bps=rate, tracer=self.tracer, metrics=self.metrics,
+            group=group_id)
         for child in node.children.values():
+            if (depth, child.flow_id) in wired:
+                raise ConfigurationError(
+                    f"duplicate id {child.flow_id!r} at depth {depth + 1}: "
+                    "the nodes of one level share one PIEO")
+            wired.add((depth, child.flow_id))
             child.group = group_id
             node.scheduler.flows[child.flow_id] = child
             if isinstance(child, SchedNode):
-                self._wire(child, depth + 1)
+                self._wire(child, depth + 1, wired)
             else:
                 if child.flow_id in self.flows:
                     raise ConfigurationError(
@@ -218,13 +225,18 @@ class HierarchicalScheduler:
         was_empty = flow.push(packet)
         activated = False
         if was_empty:
-            self._activate(parent, flow, now)
-            activated = True
+            if not parent.scheduler.blocked.get(flow_id):
+                self._activate(parent, flow, now)
+                activated = True
+            else:
+                # A paused flow became backlogged without Pre-Enqueue (as
+                # in PieoScheduler.on_arrival).
+                parent.scheduler.note_start_time(flow)
         node = parent
         while node.parent is not None:
-            # Residency in the parent's view (LogicalPieoView.__contains__
-            # without its frame): the node's group is that view's group.
-            element = node.parent.scheduler._physical.find(node.flow_id)
+            # Residency in the parent's logical PIEO: the node's group is
+            # the parent scheduler's group.
+            element = node.parent.scheduler.ordered_list.find(node.flow_id)
             if element is None or element.group != node.group:
                 self._activate(node.parent, node, now)
                 activated = True

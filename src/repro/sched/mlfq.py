@@ -50,10 +50,6 @@ class MultiLevelFeedbackQueue(SchedulingAlgorithm):
             raise ConfigurationError("thresholds must be distinct")
         self.thresholds = thresholds
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.thresholds) + 1
-
     def level_of(self, flow: FlowQueue) -> int:
         sent = flow.state.get("mlfq_bytes_sent", 0.0)
         level = 0
@@ -73,8 +69,3 @@ class MultiLevelFeedbackQueue(SchedulingAlgorithm):
                 "mlfq_bytes_sent", 0.0) + packet.size_bytes
         if not flow.is_empty:
             ctx.reenqueue(flow)
-
-    def reset_flow(self, flow: FlowQueue) -> None:
-        """Reset the demotion counter (e.g. per-job boundary, or PIAS's
-        periodic reset against starvation)."""
-        flow.state["mlfq_bytes_sent"] = 0.0

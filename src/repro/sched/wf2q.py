@@ -52,8 +52,7 @@ class WorstCaseFairWeightedFairQueuing(SchedulingAlgorithm):
         else:
             # Fig. 2a: if enqueue into empty flow queue.
             start = max(finish, ctx.virtual_time)
-        # flow_rate_bps(ctx, flow), inlined: this runs once per
-        # transmitted packet.
+        # The flow's reserved rate is its weight-share of the link.
         finish = start + (flow.head_size() * 8
                           / (ctx.link_rate_bps * flow.weight))
         flow.state["start_time"] = start

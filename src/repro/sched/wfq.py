@@ -28,13 +28,6 @@ from repro.sched.framework import SchedulerContext
 from repro.sim.flow import FlowQueue
 
 
-def flow_rate_bps(ctx: SchedulerContext, flow: FlowQueue) -> float:
-    """The reserved rate r for ``flow`` used in finish-time arithmetic
-    by the virtual-clock family (WF2Q+): the flow's weight-share of the
-    link."""
-    return ctx.link_rate_bps * flow.weight
-
-
 def backlogged_weight(ctx: SchedulerContext) -> float:
     """Sum of weights of currently backlogged flows (>= one flow)."""
     total = sum(flow.weight for flow in ctx.backlogged_flows())

@@ -9,8 +9,7 @@ _EXPORTS = {
                          "RedDrop", "TailDrop", "available_drop_policies",
                          "get_drop_policy", "make_drop_policy",
                          "register_drop_policy"),
-    "repro.sim.classifier": ("Classifier", "FnClassifier",
-                             "HashClassifier", "StaticClassifier"),
+    "repro.sim.classifier": ("Classifier", "StaticClassifier"),
     "repro.sim.dataplane": ("Dataplane",),
     "repro.sim.port": ("Port",),
     "repro.sim.engine": ("TransmitEngine",),

@@ -22,7 +22,7 @@ registers), which serializes the ports correctly at identical output.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import scoped
@@ -168,7 +168,3 @@ class Dataplane:
             "residue": residue,
             "balanced": arrivals == departures + drops + residue,
         }
-
-    def port_ids(self) -> List[Hashable]:
-        return list(self.ports)
-

@@ -107,16 +107,6 @@ class Simulator:
         self.clock_shared = False
 
     # -- queue population ----------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        """Live (non-cancelled) events currently resident."""
-        return len(self._heap) - self._cancelled
-
-    @property
-    def cancelled_events(self) -> int:
-        """Cancelled events still occupying queue space."""
-        return self._cancelled
-
     def _note_cancel(self) -> None:
         """A resident entry's handle was cancelled: compact once more
         than half the resident entries are dead."""

@@ -111,7 +111,3 @@ class FlowQueue:
     @property
     def backlog_bytes(self) -> int:
         return self._backlog_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FlowQueue({self.flow_id!r}, depth={len(self.queue)}, "
-                f"weight={self.weight})")

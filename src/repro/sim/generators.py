@@ -196,21 +196,6 @@ class EmpiricalCdfSampler:
                 return max(1, round(lo_s + fraction * (hi_s - lo_s)))
         return max(1, round(sizes[-1]))
 
-    def tail_mass(self, size_bytes: float) -> float:
-        """P(size > size_bytes) under the interpolated CDF (closed
-        form, for the statistical property tests)."""
-        sizes = [size for size, _ in self.points]
-        probs = [prob for _, prob in self.points]
-        if size_bytes < sizes[0]:
-            return 1.0
-        for index in range(1, len(sizes)):
-            if size_bytes < sizes[index]:
-                lo_s, hi_s = sizes[index - 1], sizes[index]
-                lo_p, hi_p = probs[index - 1], probs[index]
-                fraction = (size_bytes - lo_s) / (hi_s - lo_s)
-                return 1.0 - (lo_p + fraction * (hi_p - lo_p))
-        return 0.0
-
 
 class ParetoSampler:
     """Seeded bounded-Pareto flow sizes: ``scale * u^(-1/alpha)`` capped
@@ -248,14 +233,6 @@ class ParetoSampler:
         u = self.rng.random()
         size = self.scale_bytes / max(u, 1e-12) ** (1.0 / self.alpha)
         return max(1, round(min(size, self.cap_bytes)))
-
-    def tail_mass(self, size_bytes: float) -> float:
-        """P(size > size_bytes) (closed form)."""
-        if size_bytes < self.scale_bytes:
-            return 1.0
-        if size_bytes >= self.cap_bytes:
-            return 0.0
-        return (self.scale_bytes / size_bytes) ** self.alpha
 
 
 class BackloggedSource:

@@ -53,12 +53,6 @@ class Link:
                                   flow_id=packet.flow_id)
         return finish
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the link spent transmitting."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
 
 def gbps(value: float) -> float:
     """Convenience: convert Gbit/s to bit/s."""

@@ -88,6 +88,3 @@ class Port:
         #: The port's entry point: its engine's ``arrival_sink``, bound
         #: once and shared by every flow the dataplane routes here.
         self.arrival_sink = self.engine.arrival_sink
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Port({self.port_id!r})"

@@ -79,11 +79,6 @@ class Recorder:
             totals[bucket] += departure.size_bytes * 8
         return {bucket: bits / window for bucket, bits in totals.items()}
 
-    def aggregate_rate_bps(self, start: float = 0.0,
-                           end: Optional[float] = None) -> float:
-        rates = self.rate_bps(start=start, end=end, key=lambda _fid: "all")
-        return rates.get("all", 0.0)
-
     def rate_timeseries(self, bucket_seconds: float,
                         key: Optional[Callable[[Hashable], Hashable]] = None,
                         ) -> Dict[Hashable, List[float]]:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis import (inversions, jains_index, kendall_tau_distance,
-                            max_deviation, max_relative_error,
-                            mean_deviation, positionwise_deviation)
+                            max_deviation, mean_deviation,
+                            positionwise_deviation)
 
 
 def test_jains_index_perfectly_fair():
@@ -18,14 +18,6 @@ def test_jains_index_maximally_unfair():
 def test_jains_index_degenerate():
     assert jains_index([]) == 1.0
     assert jains_index([0, 0]) == 1.0
-
-
-def test_max_relative_error():
-    achieved = {"a": 0.95, "b": 2.2}
-    target = {"a": 1.0, "b": 2.0}
-    assert max_relative_error(achieved, target) == pytest.approx(0.1)
-    assert max_relative_error({}, {"a": 1.0}) == 1.0
-    assert max_relative_error({"a": 1.0}, {"a": 0.0}) == 0.0
 
 
 def test_positionwise_deviation():

@@ -8,8 +8,7 @@ must fire because the algorithm genuinely does not provide the bound.
 
 import pytest
 
-from repro.conformance.checkers import (CHECKERS, ConformanceRun,
-                                        run_checker)
+from repro.conformance.checkers import CHECKERS, ConformanceRun
 from repro.conformance.runner import (check_algorithm, check_run,
                                       run_scenario)
 from repro.conformance.scenarios import make_scenario
@@ -47,7 +46,7 @@ def test_universal_checkers_pass_on_healthy_trace():
     run = _synthetic_run(_healthy_trace())
     for name in ("conservation", "per-flow-fifo", "link-overlap",
                  "work-conservation"):
-        assert run_checker(name, run) == [], name
+        assert CHECKERS[name](run) == [], name
 
 
 def test_per_flow_fifo_catches_swapped_ids():
@@ -66,7 +65,7 @@ def test_per_flow_fifo_catches_swapped_ids():
     tracer.departure(12 * US, "a", 1000, packet_id=1, finish=20 * US,
                      arrival_t=0.0)
     run = _synthetic_run(tracer.events)
-    assert run_checker("per-flow-fifo", run)
+    assert CHECKERS["per-flow-fifo"](run)
 
 
 def test_link_overlap_catches_overlapping_departures():
@@ -78,7 +77,7 @@ def test_link_overlap_catches_overlapping_departures():
         tracer.departure(start, "a", 1500, packet_id=pid,
                          finish=start + 12 * US, arrival_t=start)
     run = _synthetic_run(tracer.events)
-    assert run_checker("link-overlap", run)
+    assert CHECKERS["link-overlap"](run)
 
 
 def test_work_conservation_catches_idle_with_eligible_backlog():
@@ -91,7 +90,7 @@ def test_work_conservation_catches_idle_with_eligible_backlog():
     tracer.departure(50 * US, "a", 1500, packet_id=1,
                      finish=62 * US, arrival_t=0.0)
     run = _synthetic_run(tracer.events)
-    violations = run_checker("work-conservation", run)
+    violations = CHECKERS["work-conservation"](run)
     assert violations
     assert "idle" in str(violations[0])
 
@@ -109,7 +108,7 @@ def test_idle_legality_accepts_shaped_waiting():
     run = _synthetic_run(tracer.events,
                          spec=AlgorithmSpec(work_conserving=False,
                                             shaped=True))
-    assert run_checker("idle-legality", run) == []
+    assert CHECKERS["idle-legality"](run) == []
 
 
 def test_no_early_release_catches_pre_send_time_departure():
@@ -123,7 +122,7 @@ def test_no_early_release_catches_pre_send_time_departure():
     run = _synthetic_run(tracer.events,
                          spec=AlgorithmSpec(work_conserving=False,
                                             shaped=True))
-    assert run_checker("no-early-release", run)
+    assert CHECKERS["no-early-release"](run)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_fairness_envelope_fires_for_packet_fair_sfq():
         spec=AlgorithmSpec(fairness_envelope_mtu=4.0),
         algorithm=run.algorithm, scenario=scenario,
         link_rate_bps=run.link_rate_bps)
-    assert run_checker("fairness-envelope", judged), (
+    assert CHECKERS["fairness-envelope"](judged), (
         "byte-judged SFQ must drift outside the envelope")
 
 
@@ -159,7 +158,7 @@ def test_gps_delay_bound_fires_for_strict_priority(
         spec=AlgorithmSpec(gps_delay_slack=1.0),
         algorithm=run.algorithm, scenario=scenario,
         link_rate_bps=run.link_rate_bps)
-    assert run_checker("gps-delay-bound", judged), (
+    assert CHECKERS["gps-delay-bound"](judged), (
         "strict priority starves low-priority flows far beyond the "
         "GPS bound")
 
@@ -172,7 +171,7 @@ def test_priority_inversion_fires_for_fair_queue():
         spec=AlgorithmSpec(priority_ordered=True),
         algorithm=run.algorithm, scenario=scenario,
         link_rate_bps=run.link_rate_bps)
-    assert run_checker("priority-inversion", judged), (
+    assert CHECKERS["priority-inversion"](judged), (
         "round robin across priorities must show inversions when "
         "judged as strict priority")
 

@@ -22,7 +22,7 @@ def _write_fabric_trace(path):
     fabric.sim.run()
     with open(path, "w") as handle:
         for event in tracer.events:
-            handle.write(json.dumps(event.to_dict()) + "\n")
+            handle.write(event.to_json() + "\n")
     return path
 
 

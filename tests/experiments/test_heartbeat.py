@@ -127,9 +127,9 @@ class TestExperimentHeartbeat:
 
         plain = run(None)
         pulsed = run(SweepHeartbeat(stream=io.StringIO()))
-        strip = [event.to_dict() for event in pulsed.events
+        strip = [event.to_json() for event in pulsed.events
                  if event.fields.get("label") != "sweep.heartbeat"]
-        assert strip == [event.to_dict() for event in plain.events]
+        assert strip == [event.to_json() for event in plain.events]
 
     def test_fig12_heartbeat_counts_points(self):
         stream = io.StringIO()

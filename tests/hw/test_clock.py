@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.hw.clock import (MTU_BUDGET_NS_AT_100G, asic_pieo_latency_ns,
-                            pieo_clock_mhz, pieo_rate_report,
-                            pifo_clock_mhz, pifo_rate_report)
+from repro.hw.clock import (MTU_BUDGET_NS_AT_100G, pieo_clock_mhz,
+                            pieo_rate_report, pifo_clock_mhz,
+                            pifo_rate_report)
 from repro.hw.device import ASIC, STRATIX_V
 
 
@@ -35,8 +35,9 @@ def test_clock_decreases_with_size():
 def test_asic_4ns_per_op():
     """Section 6.2: "At 1 GHz clock rate, each primitive operation in
     PIEO would only take 4 ns"."""
-    assert asic_pieo_latency_ns() == pytest.approx(4.0)
-    assert pieo_rate_report(30_000, ASIC).clock_mhz == 1_000.0
+    report = pieo_rate_report(30_000, ASIC)
+    assert report.op_latency_ns == pytest.approx(4.0)
+    assert report.clock_mhz == 1_000.0
 
 
 def test_pifo_one_cycle_pieo_four_cycles():

@@ -13,8 +13,8 @@ import random
 import pytest
 
 from repro.core.pieo import PieoHardwareList
-from repro.sched import (HierarchicalScheduler, TokenBucket, WF2Qplus,
-                         two_level_tree)
+from repro.sched import (FeedbackChannel, HierarchicalScheduler,
+                         TokenBucket, WF2Qplus, two_level_tree)
 from repro.sim import (BackloggedSource, Link, OnOffGenerator,
                        PoissonGenerator, Simulator, TransmitEngine, gbps)
 
@@ -62,7 +62,26 @@ def test_soak_hierarchy_on_hardware_lists():
         if sim.now + 5e-3 < DURATION:
             sim.schedule_in(5e-3, shake)
 
+    # Network feedback (Section 4.4): every 7 ms one random leaf is
+    # paused through its node's scheduler, which shares its level's
+    # PIEO with the other nodes, and resumed 4 ms later.
+    feedback_rng = random.Random(7)
+    channels = {node_id: FeedbackChannel(sim, node.scheduler, engine=engine)
+                for node_id, node in root.children.items()}
+    pauses = []
+
+    def quench():
+        node_id = f"n{feedback_rng.randrange(len(node_rates))}"
+        flow_id = feedback_rng.choice(sorted(root.children[node_id].children))
+        channel = channels[node_id]
+        channel.pause(flow_id)
+        sim.schedule_in(4e-3, lambda: channel.resume(flow_id))
+        pauses.append((flow_id, sim.now, sim.now + 4e-3))
+        if sim.now + 11e-3 < DURATION:
+            sim.schedule_in(7e-3, quench)
+
     sim.schedule(10e-3, shake)
+    sim.schedule(5e-3, quench)
     sim.run_until(DURATION)
 
     # Hardware invariants held throughout (self_check) — now the global
@@ -86,3 +105,10 @@ def test_soak_hierarchy_on_hardware_lists():
     assert total_bits <= link.rate_bps * DURATION * 1.001
     for physical in scheduler.level_lists:
         physical.check()
+    # A paused flow sends nothing once the packet on the wire is out.
+    assert len(pauses) >= 5
+    assert sum(len(channel.log) for channel in channels.values()) == \
+        2 * len(pauses)
+    for flow_id, start, end in pauses:
+        assert not [d for d in departures if d.flow_id == flow_id
+                    and start + 1e-6 < d.time < end]

@@ -70,9 +70,10 @@ def _gauges_never_negative(metrics):
 
 def _timers_match(tracer):
     tallies = {}
-    for event in tracer.events_of("timer_arm", "timer_fire",
-                                  "timer_cancel"):
-        scope = event.get("scope")
+    for event in tracer.events:
+        if event.kind not in ("timer_arm", "timer_fire", "timer_cancel"):
+            continue
+        scope = event.fields["scope"]
         tallies.setdefault(scope, TallyCounter())[event.kind] += 1
 
     retry = tallies.get("engine.retry", TallyCounter())
@@ -86,9 +87,10 @@ def _timers_match(tracer):
 
     # Per-id accounting: no retry timer fires or cancels twice.
     seen = TallyCounter()
-    for event in tracer.events_of("timer_fire", "timer_cancel"):
-        if event.get("scope") == "engine.retry":
-            timer_id = event.get("id")
+    for event in tracer.events:
+        if (event.kind in ("timer_fire", "timer_cancel")
+                and event.fields["scope"] == "engine.retry"):
+            timer_id = event.fields["id"]
             assert timer_id is not None
             seen[timer_id] += 1
     assert seen and all(count == 1 for count in seen.values())

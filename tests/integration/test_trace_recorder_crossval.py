@@ -1,12 +1,12 @@
-"""Cross-validation: Recorder bookkeeping vs trace-derived views.
+"""Cross-validation: Recorder bookkeeping vs the trace.
 
 The engine keeps a :class:`repro.sim.recorder.Recorder` and (when
 observed) emits ``departure`` trace events for the same packets.  These
 are two independent bookkeeping paths over one ground truth; this test
-runs the Fig. 12 topology with both attached and asserts the
-trace-derived Recorder (:meth:`TraceAnalysis.to_recorder`) agrees with
-the live one on order, per-flow bytes, and measured rates — so the two
-paths cannot drift apart silently.
+runs the Fig. 12 topology with both attached and asserts a Recorder
+filled from the trace's ``departure`` events agrees with the live one
+on order, per-flow bytes, and measured rates — so the two paths cannot
+drift apart silently.
 """
 
 import pytest
@@ -14,6 +14,7 @@ import pytest
 from repro.experiments.hier_common import (default_node_rates,
                                            run_hierarchy)
 from repro.obs import TraceAnalysis, Tracer
+from repro.sim.recorder import Recorder
 
 
 @pytest.fixture(scope="module")
@@ -21,37 +22,43 @@ def traced_run():
     tracer = Tracer()
     run = run_hierarchy(default_node_rates(), duration=0.002,
                         tracer=tracer)
-    return run, TraceAnalysis(tracer.events)
+    derived = Recorder()
+    for event in tracer.events:
+        if event.kind == "departure":
+            fields = event.fields
+            derived.record(event.time, fields["flow_id"],
+                           fields["size_bytes"], fields["packet_id"])
+    return run, TraceAnalysis(tracer.events), derived
 
 
 def test_departure_order_matches(traced_run):
-    run, analysis = traced_run
-    assert analysis.order() == run.engine.recorder.order()
-    assert len(analysis.order()) > 0
+    run, _, derived = traced_run
+    assert derived.order() == run.engine.recorder.order()
+    assert len(derived.order()) > 0
 
 
 def test_bytes_by_flow_matches(traced_run):
-    run, analysis = traced_run
-    assert analysis.bytes_by_flow() == run.engine.recorder.bytes_by_flow()
+    run, _, derived = traced_run
+    assert derived.bytes_by_flow() == run.engine.recorder.bytes_by_flow()
 
 
 def test_rates_match_in_measurement_window(traced_run):
-    run, analysis = traced_run
+    run, _, derived = traced_run
     warmup = run.duration * 0.1
     live = run.engine.recorder.rate_bps(start=warmup, end=run.duration)
-    derived = analysis.rate_bps(start=warmup, end=run.duration)
-    assert derived.keys() == live.keys()
+    rates = derived.rate_bps(start=warmup, end=run.duration)
+    assert rates.keys() == live.keys()
     for flow_id, rate in live.items():
-        assert derived[flow_id] == pytest.approx(rate)
+        assert rates[flow_id] == pytest.approx(rate)
 
 
 def test_trace_audits_clean_on_real_run(traced_run):
-    _, analysis = traced_run
+    _, analysis, _ = traced_run
     assert analysis.errors == []
 
 
 def test_attribution_sums_on_real_run(traced_run):
-    _, analysis = traced_run
+    _, analysis, _ = traced_run
     checked = 0
     for timeline in analysis.timelines:
         if not timeline.delivered:

@@ -7,8 +7,8 @@ from collections import defaultdict
 import pytest
 
 from repro.obs import (MetricsRegistry, TraceAnalysis, Tracer,
-                       perfetto_trace, prometheus_text, write_perfetto)
-from repro.obs.export import prometheus_from_snapshot
+                       perfetto_trace, prometheus_from_snapshot,
+                       write_perfetto)
 
 
 def _registry():
@@ -38,7 +38,7 @@ def _parse_prometheus(text):
 
 
 def test_prometheus_round_trips_every_instrument():
-    text = prometheus_text(_registry())
+    text = prometheus_from_snapshot(_registry().to_dict())
     types, samples = _parse_prometheus(text)
     assert types["repro_engine_arrivals_total"] == "counter"
     assert samples["repro_engine_arrivals_total"] == "5"
@@ -61,7 +61,7 @@ def test_prometheus_round_trips_every_instrument():
 
 
 def test_prometheus_log_histogram_buckets_are_cumulative():
-    text = prometheus_text(_registry())
+    text = prometheus_from_snapshot(_registry().to_dict())
     cumulative = []
     for line in text.splitlines():
         if line.startswith("repro_sched_latency_us_bucket"):

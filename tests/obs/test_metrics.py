@@ -24,8 +24,6 @@ def test_gauge_tracks_watermarks():
     assert gauge.value == 8
     assert gauge.min == -2
     assert gauge.max == 8
-    gauge.reset()
-    assert gauge.value == 0.0 and gauge.min is None and gauge.max is None
 
 
 def test_histogram_buckets_and_exact_stats():
@@ -38,17 +36,6 @@ def test_histogram_buckets_and_exact_stats():
     assert histogram.sum == pytest.approx(556.5)
     assert histogram.mean == pytest.approx(111.3)
     assert histogram.min == 0.5 and histogram.max == 500
-
-
-def test_histogram_quantile_is_bucket_upper_bound():
-    histogram = Histogram(buckets=(1, 10, 100))
-    for value in (0.5, 2, 3, 20, 500):
-        histogram.observe(value)
-    assert histogram.quantile(0.5) == 10.0
-    assert histogram.quantile(1.0) == math.inf  # overflow bucket
-    assert Histogram(buckets=(1,)).quantile(0.5) == 0.0  # empty
-    with pytest.raises(ValueError):
-        histogram.quantile(1.5)
 
 
 def test_histogram_rejects_bad_buckets():
@@ -161,7 +148,6 @@ def test_registry_snapshot_shape():
     log_histogram = snapshot["log_histograms"]["lat"]
     assert log_histogram["count"] == 1
     assert log_histogram["quantiles"]["p50"] == pytest.approx(3.0)
-    assert registry.snapshot() == snapshot
 
 
 def test_registry_write_json(tmp_path):

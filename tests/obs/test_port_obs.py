@@ -52,7 +52,7 @@ def test_scoped_metrics_prefixes_names():
     view = scoped(registry, "port.p0")
     view.counter("engine.arrivals").inc()
     view.gauge("sched.queue_depth").set(3)
-    snapshot = registry.snapshot()
+    snapshot = registry.to_dict()
     assert snapshot["counters"]["port.p0.engine.arrivals"] == 1
     assert snapshot["gauges"]["port.p0.sched.queue_depth"][
         "value"] == 3
@@ -62,7 +62,7 @@ def test_scoped_metrics_nest_outer_first():
     registry = MetricsRegistry()
     view = ScopedMetrics(ScopedMetrics(registry, "port.p1"), "engine")
     view.counter("departures").inc(2)
-    assert registry.snapshot()["counters"][
+    assert registry.to_dict()["counters"][
         "port.p1.engine.departures"] == 2
 
 
@@ -81,7 +81,7 @@ def test_scoped_counters_share_the_base_registry():
     registry = MetricsRegistry()
     for port in ("p0", "p1"):
         scoped(registry, f"port.{port}").counter("drops").inc()
-    counters = registry.snapshot()["counters"]
+    counters = registry.to_dict()["counters"]
     assert counters["port.p0.drops"] == 1
     assert counters["port.p1.drops"] == 1
 

@@ -22,7 +22,7 @@ def _fabric_events():
     fabric.open_flow("h0", "h3", 6 * MTU_BYTES)
     fabric.open_flow("h1", "h2", 4 * MTU_BYTES)
     fabric.sim.run()
-    return [event.to_dict() for event in tracer.events]
+    return [json.loads(event.to_json()) for event in tracer.events]
 
 
 def _write_fabric_trace(path):

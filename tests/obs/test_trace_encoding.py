@@ -1,7 +1,7 @@
 """Randomized differential test of the streamed trace encoder.
 
 The oracle is the encoding every trace line had before emission moved off
-``json.dumps``: ``json.dumps`` of ``TraceEvent.to_dict()`` (whose
+``json.dumps``: ``json.dumps`` of the record's plain-dict form (whose
 top-level non-finite floats are strings) with compact separators, and
 labels stamped by ``setdefault`` view by view, starting with the view
 emitted on.  A streaming tracer builds each line from memoized texts of
@@ -33,8 +33,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs import EVENT_KINDS, LabelledTracer, TraceEvent, Tracer
-from repro.obs.trace import _MEMO_BOUND
+from repro.obs import EVENT_KINDS, LabelledTracer, Tracer
+from repro.obs.trace import _MEMO_BOUND, _json_safe
 
 #: Typed emitter -> (event kind, parameter -> field name).
 EMITTERS = {
@@ -146,8 +146,10 @@ def _oracle(view, kind, time, fields) -> str:
         for key, value in view.labels.items():
             fields.setdefault(key, value)
         view = view.base
-    return json.dumps(TraceEvent(time, kind, fields).to_dict(),
-                      separators=(",", ":"))
+    record = {"t": _json_safe(time), "kind": kind}
+    for key, value in fields.items():
+        record[key] = _json_safe(value)
+    return json.dumps(record, separators=(",", ":"))
 
 
 def _call(view, method, time, arguments, kind):

@@ -4,9 +4,12 @@ network-feedback pause/resume."""
 import pytest
 
 from repro.sched import (AgingStrictPriority, FeedbackChannel,
-                         PieoScheduler, install_aging_monitor,
-                         starving_flows)
-from repro.sim import FlowQueue, Link, Packet, Simulator, TransmitEngine, gbps
+                         HierarchicalScheduler, PieoScheduler, TokenBucket,
+                         WF2Qplus, install_aging_monitor, starving_flows,
+                         two_level_tree)
+from repro.sim import (BackloggedSource, FlowQueue, Link, Packet, Simulator,
+                       TransmitEngine, gbps)
+from repro.sim.packet import MTU_BYTES
 
 
 def saturated_priority_setup(algorithm):
@@ -127,3 +130,72 @@ def test_feedback_validation():
     scheduler = PieoScheduler(AgingStrictPriority())
     with pytest.raises(ValueError):
         FeedbackChannel(sim, scheduler, delay=-1)
+
+
+def run_paused_hierarchy(backend):
+    """Token Bucket over WF2Q+ (three 2 Gbps nodes, two backlogged flows
+    each); feedback pauses both of n0's flows at 1 ms through n0's
+    scheduler, which shares its level's list with n1 and n2, and
+    resumes them at 2 ms."""
+    sim = Simulator()
+    link = Link(gbps(10))
+    root, leaves = two_level_tree(TokenBucket(), [WF2Qplus()] * 3,
+                                  flows_per_node=2,
+                                  node_rate_bps=[gbps(2)] * 3)
+    tree = HierarchicalScheduler(root, link_rate_bps=link.rate_bps,
+                                 backend=backend)
+    engine = TransmitEngine(sim, tree, link)
+    for flow in leaves:
+        source = BackloggedSource(sim, flow.flow_id, engine.arrival_sink)
+        engine.add_departure_listener(flow.flow_id, source.on_departure)
+        source.start(0.0)
+    node = root.children["n0"].scheduler
+    assert node.ordered_list is tree.level_lists[1]
+    channel = FeedbackChannel(sim, node, engine=engine)
+    for flow_id in ("n0.f0", "n0.f1"):
+        sim.schedule(1e-3, lambda flow_id=flow_id: channel.pause(flow_id))
+        sim.schedule(2e-3, lambda flow_id=flow_id: channel.resume(flow_id))
+    paused = {}
+    sim.schedule(1.5e-3, lambda: paused.update(
+        resident={flow_id for flow_id in ("n0.f0", "n0.f1")
+                  if flow_id in node.ordered_list}))
+    sim.run_until(4e-3)
+    return engine.recorder.departures, paused["resident"]
+
+
+@pytest.mark.parametrize("backend", ["reference", "hardware"])
+def test_feedback_pauses_and_resumes_flows_inside_a_hierarchy(backend):
+    departures, resident_while_paused = run_paused_hierarchy(backend)
+    assert resident_while_paused == set()
+    # One MTU packet may still be on the wire when the pause lands.
+    window = (1e-3 + 2 * MTU_BYTES * 8 / gbps(10), 2e-3)
+    for flow_id in ("n0.f0", "n0.f1"):
+        times = [d.time for d in departures if d.flow_id == flow_id]
+        assert not [t for t in times if window[0] < t <= window[1]]
+        # After the resume the flow gets its half of the node's 2 Gbps.
+        after = len([t for t in times if t > 2e-3])
+        assert after == pytest.approx(2e-3 * gbps(1) / (MTU_BYTES * 8),
+                                      rel=0.1)
+    others = [d.time for d in departures if d.flow_id == "n1.f0"]
+    assert [t for t in others if window[0] < t <= window[1]]
+
+
+def test_hierarchy_feedback_is_backend_independent():
+    reference, _ = run_paused_hierarchy("reference")
+    hardware, _ = run_paused_hierarchy("hardware")
+    assert [(d.time, d.flow_id) for d in reference] == \
+        [(d.time, d.flow_id) for d in hardware]
+
+
+def test_arrival_on_a_paused_empty_leaf_stays_out_of_the_hierarchy():
+    root, _leaves = two_level_tree(TokenBucket(), [WF2Qplus()],
+                                   flows_per_node=2,
+                                   node_rate_bps=[gbps(1)])
+    tree = HierarchicalScheduler(root)
+    node = root.children["n0"].scheduler
+    node.pause_flow("n0.f0", now=0.0)
+    tree.on_arrival("n0.f0", Packet("n0.f0"), now=0.0)
+    assert "n0.f0" not in node.ordered_list
+    assert tree.schedule(0.0) == []
+    assert node.resume_flow("n0.f0", now=0.0)
+    assert [p.flow_id for p in tree.schedule(0.0)] == ["n0.f0"]

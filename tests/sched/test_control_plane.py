@@ -123,7 +123,7 @@ def test_live_write_is_observed_like_any_list_operation():
     ControlPlane(scheduler).set_priority("a", 1, now=2.0)
     assert metrics.gauge("sched.queue_depth").value == 1
     assert len(scheduler.ordered_list) == 1
-    dequeues = tracer.events_of("dequeue")
+    dequeues = [event for event in tracer.events if event.kind == "dequeue"]
     assert len(dequeues) == 1 and dequeues[0].time == 2.0
-    assert [event.time for event in tracer.events_of("enqueue")] == \
-        [1.0, 2.0]
+    assert [event.time for event in tracer.events
+            if event.kind == "enqueue"] == [1.0, 2.0]

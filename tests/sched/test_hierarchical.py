@@ -7,71 +7,75 @@ import pytest
 from repro.core.element import Element
 from repro.core.pieo import PieoHardwareList
 from repro.core.reference import ReferencePieo
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownFlowError
 from repro.sched import (DeficitRoundRobin, HierarchicalScheduler,
-                         LogicalPieoView, SchedNode, StrictPriority,
-                         TokenBucket, WF2Qplus, two_level_tree)
+                         SchedNode, StrictPriority, TokenBucket, WF2Qplus,
+                         two_level_tree)
 from repro.sim import (BackloggedSource, FlowQueue, Link, Packet, Simulator,
                        TransmitEngine, gbps)
 from repro.sim.packet import MTU_BYTES
 
 
 # ---------------------------------------------------------------------
-# LogicalPieoView: logical PIEOs sharing a physical PIEO
+# Logical PIEOs: one physical PIEO read through one-group ranges
 # ---------------------------------------------------------------------
 def test_logical_views_partition_physical_list():
     physical = ReferencePieo()
-    view_a = LogicalPieoView(physical, group_id=1)
-    view_b = LogicalPieoView(physical, group_id=2)
-    view_a.enqueue(Element("a1", rank=5))
-    view_b.enqueue(Element("b1", rank=1))
-    view_a.enqueue(Element("a2", rank=3))
+    physical.enqueue(Element("a1", rank=5, group=1))
+    physical.enqueue(Element("b1", rank=1, group=2))
+    physical.enqueue(Element("a2", rank=3, group=1))
     assert len(physical) == 3
-    assert len(view_a) == 2
-    assert len(view_b) == 1
-    # Each view extracts its own smallest ranked eligible element.
-    assert view_a.dequeue(now=0).flow_id == "a2"
-    assert view_b.dequeue(now=0).flow_id == "b1"
-    assert "a1" in view_a
-    assert "a1" not in view_b
+    # Each group range extracts its own smallest ranked eligible element.
+    assert physical.peek(now=0, group_range=(1, 1)).flow_id == "a2"
+    assert physical.dequeue(now=0, group_range=(1, 1)).flow_id == "a2"
+    assert physical.dequeue(now=0, group_range=(2, 2)).flow_id == "b1"
+    assert physical.dequeue(now=0, group_range=(2, 2)) is None
+    assert physical.find("a1").group == 1
 
 
 def test_logical_view_on_hardware_list():
     physical = PieoHardwareList(32, self_check=True)
-    view_a = LogicalPieoView(physical, group_id=1)
-    view_b = LogicalPieoView(physical, group_id=2)
     for index in range(8):
-        (view_a if index % 2 else view_b).enqueue(
-            Element(index, rank=index))
-    assert view_a.dequeue(now=0).flow_id == 1
-    assert view_b.dequeue(now=0).flow_id == 0
-    assert view_b.min_send_time() == 0
+        physical.enqueue(Element(index, rank=index, group=index % 2))
+    assert physical.dequeue(now=0, group_range=(1, 1)).flow_id == 1
+    assert physical.dequeue(now=0, group_range=(0, 0)).flow_id == 0
+
+
+def node_schedulers(algorithm_factory):
+    """Two sibling nodes' schedulers on one shared level list."""
+    root = SchedNode("root", StrictPriority())
+    for name in ("a", "b"):
+        node = SchedNode(name, algorithm_factory())
+        root.add_child(node)
+        node.add_child(FlowQueue(f"{name}.f"))
+    tree = HierarchicalScheduler(root)
+    return (tree, root.children["a"].scheduler,
+            root.children["b"].scheduler)
 
 
 def test_logical_view_dequeue_flow_scoped():
-    physical = ReferencePieo()
-    view_a = LogicalPieoView(physical, group_id=1)
-    view_b = LogicalPieoView(physical, group_id=2)
-    view_a.enqueue(Element("x", rank=1))
-    assert view_b.dequeue_flow("x") is None
-    assert view_a.dequeue_flow("x").flow_id == "x"
-
-
-def test_logical_view_rejects_explicit_group_range():
-    view = LogicalPieoView(ReferencePieo(), group_id=1)
-    with pytest.raises(ConfigurationError):
-        view.dequeue(now=0, group_range=(0, 1))
+    tree, sched_a, sched_b = node_schedulers(StrictPriority)
+    assert sched_a.ordered_list is sched_b.ordered_list
+    tree.on_arrival("a.f", Packet("a.f"), now=0.0)
+    with pytest.raises(UnknownFlowError):
+        sched_b.pause_flow("a.f", now=0.0)
+    assert "a.f" in sched_a.ordered_list
+    sched_a.pause_flow("a.f", now=0.0)
+    assert "a.f" not in sched_a.ordered_list
 
 
 def test_logical_view_min_send_time_scoped():
-    physical = ReferencePieo()
-    view_a = LogicalPieoView(physical, group_id=1)
-    view_b = LogicalPieoView(physical, group_id=2)
-    view_a.enqueue(Element("a", rank=1, send_time=5))
-    view_b.enqueue(Element("b", rank=1, send_time=9))
-    assert view_a.min_send_time() == 5
-    assert view_b.min_send_time() == 9
-    assert math.isinf(LogicalPieoView(physical, group_id=3).min_send_time())
+    tree, sched_a, sched_b = node_schedulers(
+        lambda: TokenBucket(default_burst_bytes=1))
+    sched_a.flows["a.f"].rate_bps = 1e6
+    sched_b.flows["b.f"].rate_bps = 2e6
+    tree.on_arrival("a.f", Packet("a.f", size_bytes=1000), now=0.0)
+    tree.on_arrival("b.f", Packet("b.f", size_bytes=1000), now=0.0)
+    # Each node answers over its own children only.
+    assert sched_a.next_eligible_time(0.0) == pytest.approx(999 * 8 / 1e6)
+    assert sched_b.next_eligible_time(0.0) == pytest.approx(999 * 8 / 2e6)
+    sched_a.pause_flow("a.f", now=0.0)
+    assert math.isinf(sched_a.next_eligible_time(0.0))
 
 
 # ---------------------------------------------------------------------
@@ -94,6 +98,26 @@ def test_duplicate_child_rejected():
     node.add_child(FlowQueue("f"))
     with pytest.raises(ConfigurationError):
         node.add_child(FlowQueue("f"))
+
+
+@pytest.mark.parametrize("second", ["node", "leaf"])
+def test_repeated_id_at_one_depth_rejected(second):
+    """Siblings' children share one level list, so a repeated id there
+    would collide in it once both are backlogged."""
+    root = SchedNode("root", StrictPriority())
+    for name in ("a", "b"):
+        root.add_child(SchedNode(name, StrictPriority()))
+    inner = SchedNode("x", StrictPriority())
+    inner.add_child(FlowQueue("leaf"))
+    root.children["a"].add_child(inner)
+    if second == "node":
+        twin = SchedNode("x", StrictPriority())
+        twin.add_child(FlowQueue("other-leaf"))
+    else:
+        twin = FlowQueue("x")
+    root.children["b"].add_child(twin)
+    with pytest.raises(ConfigurationError, match="duplicate id 'x'"):
+        HierarchicalScheduler(root)
 
 
 def test_node_is_empty_tracks_descendants():
@@ -132,9 +156,11 @@ def test_nodes_at_same_level_share_one_physical_pieo():
                                    [StrictPriority()] * 4,
                                    flows_per_node=3)
     scheduler = HierarchicalScheduler(root)
-    views = {root.children[f"n{i}"].scheduler.ordered_list._physical
+    lists = {root.children[f"n{i}"].scheduler.ordered_list
              for i in range(4)}
-    assert views == {scheduler.level_lists[1]}
+    assert lists == {scheduler.level_lists[1]}
+    assert len({root.children[f"n{i}"].scheduler.group
+                for i in range(4)}) == 4
 
 
 # ---------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_idle_slots_leave_link_idle():
     source.start(0.0)
     sim.run_until(1e-3)
     # One 1.2 us packet per 40 us frame = 3% utilization.
-    assert link.utilization(1e-3) < 0.05
+    assert link.busy_time / 1e-3 < 0.05
 
 
 def test_late_arrival_waits_for_next_owned_slot():

@@ -137,7 +137,7 @@ def test_drop_events_carry_reason_and_port():
     buffer = BufferManager(capacity_pkts=1, tracer=tracer)
     buffer.admit("p0", "f0", _pkt("f0"), 1.0)
     buffer.admit("p1", "f1", _pkt("f1"), 2.0)
-    drops = tracer.events_of("drop")
+    drops = [event for event in tracer.events if event.kind == "drop"]
     assert len(drops) == 1
     event = drops[0]
     assert event.time == 2.0

@@ -224,7 +224,7 @@ def test_pushout_matches_oracle(data, ops, limits, hidden):
             oracle.limits[name] = value
         drops = [(event.fields["packet_id"], event.fields["reason"],
                   event.fields["port"])
-                 for event in tracer.events_of("drop")]
+                 for event in tracer.events if event.kind == "drop"]
         assert drops == oracle.drops
         assert buffer.drops_by_reason == oracle.drops_by_reason
         assert buffer.occupancy() == oracle.occupancy()

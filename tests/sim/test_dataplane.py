@@ -11,10 +11,9 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.sched import (DeficitRoundRobin, HierarchicalScheduler,
                          PieoScheduler, TokenBucket, WF2Qplus,
                          two_level_tree)
-from repro.sim import (BufferManager, Dataplane, FlowQueue,
-                       FnClassifier, HashClassifier, Link, Packet,
-                       Simulator, StaticClassifier, TransmitEngine,
-                       gbps)
+from repro.sim import (BufferManager, Classifier, Dataplane, FlowQueue,
+                       Link, Packet, Simulator, StaticClassifier,
+                       TransmitEngine, gbps)
 from repro.sim.generators import BackloggedSource, CbrGenerator
 from repro.sim.packet import MTU_BYTES, reset_packet_ids
 from tests.scenarios import Observers, shared_clock_simulator
@@ -30,26 +29,6 @@ def test_static_classifier():
     with pytest.raises(ConfigurationError):
         classifier.port_of("c")
     assert StaticClassifier({}, default="p9").port_of("c") == "p9"
-
-
-def test_hash_classifier_is_stable_and_covers_ports():
-    ports = ["p0", "p1", "p2"]
-    classifier = HashClassifier(ports)
-    mapping = {f"f{index}": classifier.port_of(f"f{index}")
-               for index in range(64)}
-    # Deterministic (CRC32, not salted builtin hash) ...
-    assert mapping == {flow_id: HashClassifier(ports).port_of(flow_id)
-                       for flow_id in mapping}
-    # ... and reasonably spread.
-    assert set(mapping.values()) == set(ports)
-    with pytest.raises(ConfigurationError):
-        HashClassifier([])
-
-
-def test_fn_classifier():
-    classifier = FnClassifier(lambda flow_id: f"p{flow_id % 2}")
-    assert classifier.port_of(4) == "p0"
-    assert classifier.port_of(5) == "p1"
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +173,12 @@ def test_port_labels_on_trace_and_metrics():
         dataplane.arrival_sink("b", Packet("b"))
     sim.run_until(0.01)
     ports_seen = {event.fields.get("port")
-                  for event in tracer.events_of("arrival")}
+                  for event in tracer.events if event.kind == "arrival"}
     assert ports_seen == {"p0", "p1"}
     drop_ports = {event.fields.get("port")
-                  for event in tracer.events_of("drop")}
+                  for event in tracer.events if event.kind == "drop"}
     assert drop_ports  # the 1-pkt buffer forced drops
-    counters = metrics.snapshot()["counters"]
+    counters = metrics.to_dict()["counters"]
     assert counters["port.p0.engine.arrivals"] == 2
     assert counters["port.p1.engine.arrivals"] == 2
     assert "buffer.dropped" in counters
@@ -535,8 +514,12 @@ def _counting_dataplane():
         asked.append(flow_id)
         return "p0" if flow_id in ("a", "c") else "p1"
 
+    class Counting(Classifier):
+        def port_of(self, flow_id):
+            return port_of(flow_id)
+
     sim = Simulator()
-    dataplane = Dataplane(sim, classifier=FnClassifier(port_of))
+    dataplane = Dataplane(sim, classifier=Counting())
     for port_id in ("p0", "p1"):
         dataplane.add_port(
             port_id,

@@ -157,7 +157,8 @@ def test_link_never_overcommitted():
         engine.arrival_sink("f", Packet("f"))
     sim.run_until(0.01)
     elapsed = engine.recorder.departures[-1].time
-    achieved = engine.recorder.aggregate_rate_bps(0.0, elapsed + 12e-6)
+    achieved = sum(engine.recorder.rate_bps(
+        start=0.0, end=elapsed + 12e-6).values())
     assert achieved <= 1e9 * 1.001
 
 

@@ -41,7 +41,7 @@ def test_cancel_then_fire_race():
     assert sim.peek_next_time() == 1.0
     sim.run()
     assert log == ["kept"]
-    assert sim.pending_events == 0
+    assert len(sim._heap) - sim._cancelled == 0
 
 
 def test_cancel_after_fire_is_noop():
@@ -51,7 +51,7 @@ def test_cancel_after_fire_is_noop():
     sim.run()
     handle.cancel()  # already fired: must not count as a cancelled resident
     assert not handle.cancelled
-    assert sim.cancelled_events == 0
+    assert sim._cancelled == 0
 
 
 # ----------------------------------------------------------------------
@@ -181,15 +181,15 @@ def test_compaction_bounds_resident_under_cancel_churn():
         handle = sim.schedule(0.5, lambda: None)
         handle.cancel()
         peak_resident = max(peak_resident, len(sim._heap))
-        peak_cancelled = max(peak_cancelled, sim.cancelled_events)
-        peak_pending = max(peak_pending, sim.pending_events)
+        peak_cancelled = max(peak_cancelled, sim._cancelled)
+        peak_pending = max(peak_pending, len(sim._heap) - sim._cancelled)
     bound = 2 * COMPACT_MIN_CANCELLED + 8
     assert peak_resident <= bound
     assert peak_cancelled <= bound
     assert peak_pending <= bound
-    assert sim.pending_events == 1
+    assert len(sim._heap) - sim._cancelled == 1
     sim.run()
-    assert sim.pending_events == 0
+    assert len(sim._heap) - sim._cancelled == 0
 
 
 def test_tiny_queues_skip_compaction():
@@ -199,8 +199,8 @@ def test_tiny_queues_skip_compaction():
                for _ in range(COMPACT_MIN_CANCELLED)]
     for handle in handles:
         handle.cancel()
-    assert sim.cancelled_events == COMPACT_MIN_CANCELLED
-    assert sim.pending_events == 0
+    assert sim._cancelled == COMPACT_MIN_CANCELLED
+    assert len(sim._heap) - sim._cancelled == 0
     assert len(sim._heap) == COMPACT_MIN_CANCELLED
 
 
@@ -345,7 +345,7 @@ def test_compaction_under_churn_with_handle_free_events():
     bound = 2 * COMPACT_MIN_CANCELLED + 8
     assert fired == list(range(2_001))
     assert peak_resident <= bound
-    assert sim.pending_events == 1
+    assert len(sim._heap) - sim._cancelled == 1
     sim.run()
     assert fired[-1] == "keeper"
-    assert sim.pending_events == sim.cancelled_events == 0
+    assert len(sim._heap) == sim._cancelled == 0

@@ -112,7 +112,7 @@ def test_run_within_budget_completes():
     sim.schedule(1.0, lambda: log.append(1))
     sim.run(max_events=1)
     assert log == [1]
-    assert sim.pending_events == 0
+    assert len(sim._heap) - sim._cancelled == 0
 
 
 def test_run_over_budget_raises_while_event_pending():
@@ -123,7 +123,7 @@ def test_run_over_budget_raises_while_event_pending():
     with pytest.raises(SimulationError):
         sim.run(max_events=1)
     assert log == [1]
-    assert sim.pending_events == 1
+    assert len(sim._heap) - sim._cancelled == 1
 
 
 def test_peek_next_time_skips_cancelled():
@@ -146,7 +146,7 @@ def test_cancel_after_fire_emits_nothing():
     handle.cancel()
     handle.cancel()
     assert not handle.cancelled
-    assert sim.cancelled_events == 0
-    assert sim.pending_events == 0
+    assert sim._cancelled == 0
+    assert len(sim._heap) - sim._cancelled == 0
     assert sim.events_fired == fired
     assert len(sim._heap) == resident

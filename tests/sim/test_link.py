@@ -28,7 +28,7 @@ def test_counters_and_utilization():
     link.transmit(Packet("f", size_bytes=125), now=finish)
     assert link.packets_sent == 2
     assert link.bytes_sent == 250
-    assert link.utilization(4e-6) == pytest.approx(0.5)
+    assert link.busy_time / 4e-6 == pytest.approx(0.5)
 
 
 def test_rate_must_be_positive():

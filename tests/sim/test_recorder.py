@@ -66,6 +66,5 @@ def test_interdeparture_times():
 def test_empty_recorder():
     recorder = Recorder()
     assert recorder.rate_bps() == {}
-    assert recorder.aggregate_rate_bps() == 0.0
     assert recorder.rate_timeseries(1.0) == {}
     assert len(recorder) == 0

@@ -16,8 +16,9 @@ the outer one.  Only this process is followed: the worker processes of
 the ``--jobs 2`` runs are not, so worker code, like invariant checkers
 and error branches that no run reaches, counts as unentered.  The
 unentered figures are therefore an upper bound on the code nothing
-reaches.  The whole pass takes a few minutes; a run that exits non-zero
-is named on stderr and makes the script exit 1.
+reaches.  The whole pass takes several minutes; a run whose exit status
+is not the expected one (zero, or non-zero for a run that injects a
+fault) is named on stderr and makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -74,9 +75,15 @@ def inventory() -> Dict[Tuple[str, int], Function]:
     return functions
 
 
-def runs(scratch: str) -> List[Tuple[str, str, List[str]]]:
-    """``(kind, target, argv)`` for every run of the pass, in order;
-    ``kind`` is ``module`` (``python -m target``) or ``script``."""
+class Run(NamedTuple):
+    kind: str            # ``module`` (``python -m target``) or ``script``
+    target: str
+    argv: List[str]
+    fails: bool = False  # the run must exit non-zero
+
+
+def runs(scratch: str) -> List[Run]:
+    """Every run of the pass, in order."""
 
     def out(name: str) -> str:
         return os.path.join(scratch, name)
@@ -102,21 +109,33 @@ def runs(scratch: str) -> List[Tuple[str, str, List[str]]]:
         ["--list-algorithms"],
         ["--list-drop-policies"],
     ]
-    plan = [("module", "repro.experiments", argv) for argv in experiments]
-    plan += [("module", "repro.conformance", argv) for argv in (
+    plan = [Run("module", "repro.experiments", argv)
+            for argv in experiments]
+    plan.append(Run("module", "repro.experiments.report",
+                    [out("RESULTS.md")]))
+    plan += [Run("module", "repro.conformance", argv) for argv in (
         ["sweep", "--metamorphic"], ["report"],
         ["check", "--algorithm", "wf2q+"],
         ["check", "--trace", out("incast.jsonl")])]
+    # The injected fault must be caught: this run exits non-zero.
+    plan.append(Run("module", "repro.conformance",
+                    ["check", "--algorithm", "drr", "--inject", "reorder"],
+                    fails=True))
     for name in ("fig11", "incast", "fct"):
         trace = out(f"{name}.jsonl")
-        plan += [("module", "repro.obs", argv) for argv in (
+        plan += [Run("module", "repro.obs", argv) for argv in (
             ["summarize", trace], ["flows", trace], ["timeline", trace],
             ["audit", trace],
             ["export", trace, "--perfetto", out(f"{name}-perfetto.json"),
              "--report", out(f"{name}-flows.json"),
              "--metrics-json", out(f"{name}.json"),
              "--prometheus", out(f"{name}.prom")])]
-    plan += [("script", str(path), [])
+    fig11 = out("fig11.jsonl")
+    plan += [Run("module", "repro.obs", argv) for argv in (
+        ["flows", fig11, "--starvation-ms", "1.0"],
+        ["flows", fig11, "--costs", out("fig11.json")],
+        ["timeline", fig11, "--flow", "n6.f2", "--limit", "20"])]
+    plan += [Run("script", str(path), [])
              for path in sorted(EXAMPLES.glob("*.py"))]
     return plan
 
@@ -133,7 +152,7 @@ def entered_codes(plan) -> Tuple[Set[Tuple[str, int]], List[str]]:
     failed = []
     saved_argv = sys.argv
     sys.path.insert(0, str(SRC))
-    for kind, target, argv in plan:
+    for kind, target, argv, fails in plan:
         sys.argv = [target, *argv]
         sink = io.StringIO()
         code = 0
@@ -152,8 +171,10 @@ def entered_codes(plan) -> Tuple[Set[Tuple[str, int]], List[str]]:
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
-        if code not in (0, None):
-            failed.append(f"{target} {' '.join(argv)} (exit {code})")
+        if (code not in (0, None)) != fails:
+            expected = "non-zero" if fails else "0"
+            failed.append(f"{target} {' '.join(argv)} (exit {code}, "
+                          f"expected {expected})")
     sys.argv = saved_argv
     return {(code.co_filename, code.co_firstlineno)
             for code in codes}, failed
